@@ -841,8 +841,8 @@ let ext_par () =
         Sweep.over_tpn ~jobs ~make ~throughputs:[ SW.t_process_ack ] axes)
   in
   check "sweep grid is byte-identical at -j1 and -jN"
-    (Tpan_obs.Jsonv.to_string (Sweep.to_json s1)
-    = Tpan_obs.Jsonv.to_string (Sweep.to_json sn));
+    (Tpan_obs.Jsonv.to_string (Tpan_obs.Jsonv.Obj (Sweep.fields s1))
+    = Tpan_obs.Jsonv.to_string (Tpan_obs.Jsonv.Obj (Sweep.fields sn)));
   (* 2. Markov solve of the Erlang-k pipeline: the dominant EXT-EXP cost;
      the parallelism lives inside the exact Gauss-Jordan elimination.
      Quick mode solves the 2-stage expansion instead of the 3-stage one *)

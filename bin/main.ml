@@ -100,13 +100,12 @@ let metrics_fmt_opt : metrics_format option ref = ref None
 let metrics_all = ref false
 let current_model : string option ref = ref None
 let current_net_hash : string option ref = ref None
-let json_schema = ref 2
 let last_report : Obs.Jsonv.t option ref = ref None
 let ledger_where : string option ref = ref None
 
 let () =
   Tpan.Analysis.add_report_hook (fun r ->
-      last_report := Some (Tpan.Analysis.report_to_json r))
+      last_report := Some (Obs.Jsonv.Obj (Tpan.Analysis.report_fields r)))
 
 let metrics_string format ~all =
   match format with
@@ -119,11 +118,6 @@ let write_ledger () =
   match !ledger_where with
   | None -> ()
   | Some dir ->
-    let stages =
-      List.map
-        (fun (stage, seconds, count) -> { Obs.Ledger.stage; seconds; count })
-        (Obs.Trace.stage_totals ())
-    in
     let subcommand =
       if Array.length Sys.argv > 1 && String.length Sys.argv.(1) > 0 && Sys.argv.(1).[0] <> '-'
       then Sys.argv.(1)
@@ -134,7 +128,7 @@ let write_ledger () =
         ~argv:(Array.to_list Sys.argv)
         ?model:!current_model
         ?trace_id:(Obs.Context.trace_id ())
-        ~stages
+        ~stages:(Obs.Trace.stage_totals ())
         ~metrics:(Obs.Metrics.to_json ~all:false ())
         ?report:!last_report ~exit_code:!exit_code
         ~duration:(Unix.gettimeofday () -. run_t0)
@@ -169,10 +163,7 @@ let parse_duration s =
 let default_flight_file () = Filename.concat (Obs.Ledger.default_dir ()) "flight.ndjson"
 
 let obs_setup trace_file metrics m_fmt m_all progress jobs log_level log_file ledger
-    ledger_dir deadline watchdog dump progress_interval schema =
-  (match schema with
-   | 1 | 2 -> json_schema := schema
-   | n -> fail_input (Printf.sprintf "--json-schema %d: only 1 (legacy) and 2 exist" n));
+    ledger_dir deadline watchdog dump progress_interval =
   (match jobs with
    | None -> ()
    | Some 0 -> Tpan_par.Pool.set_default_jobs (Tpan_par.Pool.recommended_jobs ())
@@ -385,20 +376,10 @@ let obs_term =
       & info [ "progress-interval" ] ~docv:"MS"
           ~doc:"Minimum milliseconds between --progress reports (default 50).")
   in
-  let json_schema_arg =
-    Arg.(
-      value
-      & opt int 2
-      & info [ "json-schema" ] ~docv:"N"
-          ~doc:
-            "Version of the --json document shape: $(b,2) (default; envelope with \
-             $(b,schema), $(b,trace_id), $(b,net_hash), $(b,exit_code)) or $(b,1) (the \
-             pre-serve documents, byte for byte).")
-  in
   Term.(
     const obs_setup $ trace_arg $ metrics_arg $ metrics_format_arg $ metrics_all_arg
     $ progress_arg $ jobs_arg $ log_level_arg $ log_file_arg $ ledger_arg $ ledger_dir_arg
-    $ deadline_arg $ watchdog_arg $ dump_arg $ progress_interval_arg $ json_schema_arg)
+    $ deadline_arg $ watchdog_arg $ dump_arg $ progress_interval_arg)
 
 (* ----- common options ----- *)
 
@@ -432,7 +413,7 @@ let with_net file model k =
       | Error e -> fail e)
 
 (* The artifact-backed subcommands canonicalize first: the content hash
-   keys the artifact cache and lands in every schema-2 envelope. *)
+   keys the artifact cache and lands in every --json envelope. *)
 let canonicalize tpn =
   let c = Tpan.Canonical.of_tpn tpn in
   current_net_hash := Some (Tpan.Canonical.hash c);
@@ -440,37 +421,12 @@ let canonicalize tpn =
 
 let with_canonical file model k = with_net file model (fun tpn -> k (canonicalize tpn))
 
-(* ----- machine output -----
-
-   Schema 2 wraps every document in one envelope; --json-schema 1
-   reproduces the historical per-command shapes byte for byte. *)
+(* ----- machine output: the envelope and payload encoders tpan serve uses ----- *)
 
 let print_json doc = print_endline (Obs.Jsonv.to_string_hum doc)
 
-let envelope ~kind ?(exit_code = 0) fields =
-  Obs.Jsonv.Obj
-    (("schema", Obs.Jsonv.Int 2)
-    :: ("kind", Obs.Jsonv.Str kind)
-    :: ( "trace_id",
-         match Obs.Context.trace_id () with
-         | Some t -> Obs.Jsonv.Str t
-         | None -> Obs.Jsonv.Null )
-    :: ( "net_hash",
-         match !current_net_hash with
-         | Some h -> Obs.Jsonv.Str h
-         | None -> Obs.Jsonv.Null )
-    :: ("exit_code", Obs.Jsonv.Int exit_code)
-    :: fields)
-
-let print_doc ~kind ~legacy fields =
-  if !json_schema = 1 then print_json (Lazy.force legacy)
-  else print_json (envelope ~kind (Lazy.force fields))
-
-(* Payload fields of a legacy document: everything but the old header. *)
-let fields_of_legacy doc =
-  match doc with
-  | Obs.Jsonv.Obj kvs -> List.filter (fun (k, _) -> k <> "schema" && k <> "kind") kvs
-  | other -> [ ("value", other) ]
+let print_doc ~kind fields =
+  print_json (Tpan.Doc.envelope ~kind ?net_hash:!current_net_hash fields)
 
 (* ----- show ----- *)
 
@@ -540,18 +496,18 @@ let json_arg =
   Arg.(
     value & flag
     & info [ "json" ]
-        ~doc:"Emit a versioned JSON document (\"schema\": 1) instead of the human report.")
+        ~doc:
+          "Emit a versioned JSON document instead of the human report: the envelope \
+           ($(b,schema) 2, $(b,kind), $(b,trace_id), $(b,net_hash), $(b,exit_code)) \
+           around the command's payload. For analyze and sweep it is byte for byte \
+           what $(b,tpan serve) answers, trace id aside.")
 
 let analyze_cmd =
   let run () file model max_states throughputs json =
     if json then
       with_canonical file model (fun c ->
           match Tpan.Artifact.analysis ~max_states ~throughputs c with
-          | Ok report ->
-            let report = { report with Tpan.Analysis.model } in
-            print_doc ~kind:"analysis"
-              ~legacy:(lazy (Tpan.Analysis.report_to_json report))
-              (lazy (Tpan.Analysis.report_fields report))
+          | Ok report -> print_doc ~kind:"analysis" (Tpan.Analysis.report_fields report)
           | Error e -> fail e)
     else
     with_net file model (fun tpn ->
@@ -652,15 +608,7 @@ let simulate_cmd =
         match Tpan.Artifact.simulate ~seed ~runs ~horizon ~transitions:throughputs c with
         | Error e -> fail e
         | Ok summary ->
-          if json then
-            print_doc ~kind:"simulation"
-              ~legacy:
-                (lazy
-                  (Obs.Jsonv.Obj
-                     (("schema", Obs.Jsonv.Int 1)
-                     :: ("kind", Obs.Jsonv.Str "simulation")
-                     :: Tpan.Artifact.sim_summary_fields summary)))
-              (lazy (Tpan.Artifact.sim_summary_fields summary))
+          if json then print_doc ~kind:"simulation" (Tpan.Artifact.sim_summary_fields summary)
           else
             List.iter
               (fun (name, stat) ->
@@ -803,10 +751,7 @@ let sweep_cmd =
           | Error e -> fail e
         end
     in
-    if json then
-      print_doc ~kind:"sweep"
-        ~legacy:(lazy (Sweep.to_json table))
-        (lazy (fields_of_legacy (Sweep.to_json table)))
+    if json then print_doc ~kind:"sweep" (Sweep.fields table)
     else if csv then print_string (Sweep.to_csv table)
     else Format.printf "%a@?" Sweep.pp table
   in
@@ -1008,7 +953,8 @@ let check_cmd =
                 ("errored", Obs.Jsonv.Int (List.length errors));
                 ("timed_out", Obs.Jsonv.Int (List.length timeouts));
                 ( "outcomes",
-                  Obs.Jsonv.List (List.map CK.outcome_to_json outcomes) );
+                  Obs.Jsonv.List
+                    (List.map (fun o -> Obs.Jsonv.Obj (CK.outcome_fields o)) outcomes) );
                 ( "errors",
                   Obs.Jsonv.List
                     (List.map
@@ -1021,16 +967,9 @@ let check_cmd =
                        errored) );
               ]
           in
-          let summary =
-            Obs.Jsonv.Obj
-              (("schema", Obs.Jsonv.Int 1)
-              :: ("kind", Obs.Jsonv.Str "check-fuzz")
-              :: summary_fields)
-          in
-          last_report := Some summary;
+          last_report := Some (Obs.Jsonv.Obj summary_fields);
           write_reproducers repro outcomes;
-          if json then
-            print_doc ~kind:"check-fuzz" ~legacy:(lazy summary) (lazy summary_fields)
+          if json then print_doc ~kind:"check-fuzz" summary_fields
           else begin
             List.iter
               (fun ((c : GN.case), r) ->
@@ -1049,19 +988,17 @@ let check_cmd =
     end
     else if diff then
       handle_errors (fun () ->
-          (* canonicalize up front so the schema-2 envelope names the net *)
+          (* canonicalize up front so the envelope names the net *)
           (match Tpan.Analysis.load (source_of file model) with
            | Ok tpn -> ignore (canonicalize tpn)
            | Error _ -> ());
           match Tpan.Checker.check_source ~config ?delivery (source_of file model) with
           | Error e -> fail e
           | Ok o ->
-            last_report := Some (CK.outcome_to_json o);
+            let fields = CK.outcome_fields o in
+            last_report := Some (Obs.Jsonv.Obj fields);
             write_reproducers repro [ o ];
-            if json then
-              print_doc ~kind:"check"
-                ~legacy:(lazy (CK.outcome_to_json o))
-                (lazy (fields_of_legacy (CK.outcome_to_json o)))
+            if json then print_doc ~kind:"check" fields
             else Format.printf "%a@." CK.pp_outcome o;
             if not (CK.ok o) then quit 1)
     else with_net file model (check_static max_states)

@@ -1,5 +1,6 @@
 (* Quickstart: model a protocol and get a throughput number through the
-   Tpan.Analysis facade — build a net, call analyze, read the report.
+   Tpan facade — build a net, ask the artifact layer for its analysis,
+   read the report.
    Every failure mode comes back as a value (Tpan.Error.t), so the example
    has no exception handling.
 
@@ -42,8 +43,9 @@ let () =
   in
 
   (* 3. Analyze through the facade: one call runs timed reachability,
-     decision-graph collapse and the rate solve. *)
-  (match Tpan.Analysis.(analyze ~throughputs:[ "done_" ] tpn) with
+     decision-graph collapse and the rate solve, keyed (and cached) by
+     the net's canonical content hash. *)
+  (match Tpan.Artifact.analysis ~throughputs:[ "done_" ] (Tpan.Canonical.of_tpn tpn) with
    | Error e ->
      Format.printf "analysis failed: %s@." (Tpan.Error.to_string e)
    | Ok report ->

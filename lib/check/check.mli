@@ -106,5 +106,9 @@ val fuzz :
 (** [cases] generated nets, seeds [config.seed .. config.seed+cases-1],
     fanned out over a {!Tpan_par.Pool} (deterministic for any [jobs]). *)
 
-val outcome_to_json : outcome -> Tpan_obs.Jsonv.t
+val outcome_fields : outcome -> (string * Tpan_obs.Jsonv.t) list
+(** The outcome's payload fields ([name], [points], [agreed],
+    [failures], [skipped], [ok]) — the [check --json] payload, and one
+    element of the [check --random --json] outcomes list. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -5,7 +5,7 @@
 
 let schema_version = 1
 
-type stage = { stage : string; seconds : float; count : int }
+type stage = Trace.stage = { stage : string; seconds : float; count : int }
 
 type record = {
   schema : int;

@@ -11,7 +11,7 @@
     carry a [schema] number and unparseable lines are skipped on load
     instead of failing the query. *)
 
-type stage = { stage : string; seconds : float; count : int }
+type stage = Trace.stage = { stage : string; seconds : float; count : int }
 (** Aggregated span totals, as returned by {!Trace.stage_totals}. *)
 
 type record = {

@@ -147,15 +147,19 @@ let take_events ~trace_id =
 let total_duration name =
   List.fold_left (fun acc e -> if e.name = name then acc +. e.dur else acc) 0. !completed
 
-let stage_totals () =
+type stage = { stage : string; seconds : float; count : int }
+
+let stage_totals_of events =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun e ->
       let dur, n = match Hashtbl.find_opt tbl e.name with Some x -> x | None -> (0., 0) in
       Hashtbl.replace tbl e.name (dur +. e.dur, n + 1))
-    !completed;
-  Hashtbl.fold (fun name (dur, n) acc -> (name, dur, n) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    events;
+  Hashtbl.fold (fun stage (seconds, count) acc -> { stage; seconds; count } :: acc) tbl []
+  |> List.sort (fun a b -> compare a.stage b.stage)
+
+let stage_totals () = stage_totals_of !completed
 
 (* ---------------- NDJSON export ---------------- *)
 

@@ -94,10 +94,16 @@ val take_events : trace_id:string -> event list
 val total_duration : string -> float
 (** Sum of [dur] over completed events with that name; [0.] if none. *)
 
-val stage_totals : unit -> (string * float * int) list
-(** Aggregate the buffered events by name: [(name, total seconds,
-    count)], sorted by name. The per-stage breakdown the run ledger
-    records. *)
+type stage = { stage : string; seconds : float; count : int }
+(** One span name's aggregate: total seconds and number of spans. *)
+
+val stage_totals_of : event list -> stage list
+(** Aggregate events by name, sorted by name — the per-stage breakdown
+    a run-ledger row records (a CLI run's buffered spans, or one served
+    request's span tree). *)
+
+val stage_totals : unit -> stage list
+(** {!stage_totals_of} over the buffered events. *)
 
 (** {1 Export} *)
 

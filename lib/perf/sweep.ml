@@ -77,7 +77,7 @@ let classify e =
     | Division_by_zero -> Error.Unsolvable "division by zero while evaluating measure"
     | e -> raise e)
 
-let qs q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
+let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
 let rows_of_results pts results =
   List.map2
@@ -92,7 +92,7 @@ let rows_of_results pts results =
               ("index", Tpan_obs.Jsonv.Int e.index);
               ( "point",
                 Tpan_obs.Jsonv.Obj
-                  (List.map (fun (k, v) -> (k, Tpan_obs.Jsonv.Raw (qs v))) point) );
+                  (List.map (fun (k, v) -> (k, Tpan_obs.Jsonv.Raw (qf v))) point) );
               ("error", Tpan_obs.Jsonv.Str (Error.to_string err));
             ];
         { point; values = []; error = Some err })
@@ -136,8 +136,6 @@ let over_expr ?jobs ~bindings ~exprs axes =
 
 (* ---------------- rendering ---------------- *)
 
-let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
-
 let csv_cell s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
@@ -167,39 +165,33 @@ let to_csv t =
     t.rows;
   Buffer.contents b
 
-let to_json t =
+(* Machine renderings are exact: every rational is its [Q.to_string]. *)
+let q_json q = J.Str (Q.to_string q)
+
+let axis_to_json a =
   J.Obj
     [
-      ("schema", J.Int 1);
-      ("kind", J.Str "sweep");
-      ( "axes",
-        J.List
-          (List.map
-             (fun a ->
-               J.Obj
-                 [
-                   ("name", J.Str a.name);
-                   ("lo", J.Raw (qf a.lo));
-                   ("hi", J.Raw (qf a.hi));
-                   ("steps", J.Int a.steps);
-                 ])
-             t.axes) );
-      ("columns", J.List (List.map (fun c -> J.Str c) t.columns));
-      ( "rows",
-        J.List
-          (List.map
-             (fun r ->
-               J.Obj
-                 [
-                   ("point", J.Obj (List.map (fun (k, v) -> (k, J.Raw (qf v))) r.point));
-                   ("values", J.Obj (List.map (fun (k, v) -> (k, J.Raw (qf v))) r.values));
-                   ( "error",
-                     match r.error with
-                     | None -> J.Null
-                     | Some e -> J.Str (Error.to_string e) );
-                 ])
-             t.rows) );
+      ("name", J.Str a.name);
+      ("lo", q_json a.lo);
+      ("hi", q_json a.hi);
+      ("steps", J.Int a.steps);
     ]
+
+let fields t =
+  let assoc kvs = J.Obj (List.map (fun (k, v) -> (k, q_json v)) kvs) in
+  let row r =
+    J.Obj
+      [
+        ("point", assoc r.point);
+        ("values", assoc r.values);
+        ("error", match r.error with None -> J.Null | Some e -> J.Str (Error.to_string e));
+      ]
+  in
+  [
+    ("axes", J.List (List.map axis_to_json t.axes));
+    ("columns", J.List (List.map (fun c -> J.Str c) t.columns));
+    ("rows", J.List (List.map row t.rows));
+  ]
 
 let pp fmt t =
   let axis_names = List.map (fun a -> a.name) t.axes in

@@ -67,8 +67,14 @@ val to_csv : t -> string
 (** Header then one line per row: point coordinates, then columns (empty
     cells on error), then an [error] column. Deterministic. *)
 
-val to_json : t -> Tpan_obs.Jsonv.t
-(** Versioned machine output ([{"schema": 1, "kind": "sweep", …}]). *)
+val axis_to_json : axis -> Tpan_obs.Jsonv.t
+(** [{"name", "lo", "hi", "steps"}], bounds as exact rational strings. *)
+
+val fields : t -> (string * Tpan_obs.Jsonv.t) list
+(** The table's payload fields — [axes], [columns], [rows] (each row's
+    [point], [values] and [error]) — with every rational exact
+    ([Q.to_string]). The one sweep encoder: [tpan sweep --json] and
+    [POST /sweep] wrap it in the same envelope. *)
 
 val pp : Format.formatter -> t -> unit
 (** Aligned human-readable table. *)

@@ -52,17 +52,14 @@ type response = {
 
 (* ----- telemetry plane -----
 
-   Process-wide totals keep their historical unlabelled names (external
-   scrapes grep for [tpan_serve_requests_total]); the per-endpoint RED
-   families ride alongside under [serve.endpoint.*] and
-   [serve.request_duration_s{endpoint=...}], the latter carrying an
-   exemplar trace id per latency bucket. *)
+   Requests are counted into the per-endpoint RED families
+   [serve.endpoint.*] and [serve.request_duration_s{endpoint=...}], the
+   latter carrying an exemplar trace id per latency bucket. The one
+   unlabelled total, [serve.errors], also counts connection-level
+   failures that never reach an endpoint. *)
 
 let start_time = Unix.gettimeofday ()
-let m_requests = lazy (Obs.Metrics.counter "serve.requests")
 let m_errors = lazy (Obs.Metrics.counter "serve.errors")
-let m_timeouts = lazy (Obs.Metrics.counter "serve.timeouts")
-let m_latency = lazy (Obs.Metrics.histogram "serve.latency_s")
 let m_inflight = lazy (Obs.Metrics.gauge "serve.inflight")
 
 (* Endpoint labels are drawn from the route table (unknown paths all
@@ -82,6 +79,19 @@ let ep_errors ep ty =
 
 let ep_latency ep =
   Obs.Metrics.histogram_with "serve.request_duration_s" [ ("endpoint", ep) ]
+
+(* A labelled family's total over every endpoint series; [extra] adds
+   the labels that sort after [endpoint] (registry naming). Lookups
+   never register a series. *)
+let endpoints_total ?(extra = "") family =
+  List.fold_left
+    (fun acc ep ->
+      acc
+      + Obs.Metrics.counter_value (Printf.sprintf "%s{endpoint=%S%s}" family ep extra))
+    0 ("other" :: known_endpoints)
+
+let requests_total () = endpoints_total "serve.endpoint.requests"
+let timeouts_total () = endpoints_total ~extra:",type=\"timeout\"" "serve.endpoint.errors"
 
 (* The typed-error label is derived from the response status, so every
    error path — raised or returned as a value — classifies the same
@@ -483,16 +493,9 @@ let canonical_of_body obj =
 (* ----- response envelopes ----- *)
 
 let envelope ~kind ~net_hash ~exit_code fields =
-  (match net_hash with Some h -> note_net_hash h | None -> ());
+  Option.iter note_net_hash net_hash;
   note_exit_code exit_code;
-  J.Obj
-    (("schema", J.Int 2)
-    :: ("kind", J.Str kind)
-    :: ( "trace_id",
-         match Obs.Context.trace_id () with Some t -> J.Str t | None -> J.Null )
-    :: ("net_hash", (match net_hash with Some h -> J.Str h | None -> J.Null))
-    :: ("exit_code", J.Int exit_code)
-    :: fields)
+  Tpan.Doc.envelope ~kind ?net_hash ~exit_code fields
 
 let json ?(headers = []) status doc =
   {
@@ -586,33 +589,6 @@ let axes_field obj =
       vs
   | Some _ -> bad "axes: expected a list"
 
-let sweep_fields (sw : Tpan_perf.Sweep.t) =
-  let row (r : Tpan_perf.Sweep.row) =
-    J.Obj
-      [
-        ("point", J.Obj (List.map (fun (n, q) -> (n, J.Str (Q.to_string q))) r.point));
-        ("values", J.Obj (List.map (fun (n, q) -> (n, J.Str (Q.to_string q))) r.values));
-        ( "error",
-          match r.error with None -> J.Null | Some e -> J.Str (Tpan.Error.to_string e) );
-      ]
-  in
-  [
-    ( "axes",
-      J.List
-        (List.map
-           (fun (a : Tpan_perf.Sweep.axis) ->
-             J.Obj
-               [
-                 ("name", J.Str a.name);
-                 ("lo", J.Str (Q.to_string a.lo));
-                 ("hi", J.Str (Q.to_string a.hi));
-                 ("steps", J.Int a.steps);
-               ])
-           sw.axes) );
-    ("columns", J.List (List.map (fun c -> J.Str c) sw.columns));
-    ("rows", J.List (List.map row sw.rows));
-  ]
-
 (* The /sweep coalescing key is exactly the dispatch inputs — two
    requests that agree on it receive byte-identical grids — serialized
    as JSON so every string component (binding names, transition names)
@@ -633,18 +609,7 @@ let sweep_key ~net_hash ~max_states ~jobs ~transitions ~bindings ~axes =
              (List.map
                 (fun (n, q) -> (n, J.Str (Q.to_string q)))
                 (List.sort (fun (a, _) (b, _) -> String.compare a b) bindings)) );
-         ( "axes",
-           J.List
-             (List.map
-                (fun (a : Tpan_perf.Sweep.axis) ->
-                  J.Obj
-                    [
-                      ("name", J.Str a.name);
-                      ("lo", J.Str (Q.to_string a.lo));
-                      ("hi", J.Str (Q.to_string a.hi));
-                      ("steps", J.Int a.steps);
-                    ])
-                axes) );
+         ("axes", J.List (List.map Tpan_perf.Sweep.axis_to_json axes));
        ])
 
 let h_sweep config obj =
@@ -674,7 +639,7 @@ let h_sweep config obj =
         json 200
           (envelope ~kind:"sweep"
              ~net_hash:(Some (Tpan.Canonical.hash canonical))
-             ~exit_code:0 (sweep_fields sw))
+             ~exit_code:0 (Tpan_perf.Sweep.fields sw))
       | Error e ->
         error_response
           ~net_hash:(Tpan.Canonical.hash canonical)
@@ -743,9 +708,9 @@ let statusz_json () =
       ( "requests",
         J.Obj
           [
-            ("total", J.Int (Obs.Metrics.Counter.value (Lazy.force m_requests)));
+            ("total", J.Int (requests_total ()));
             ("errors", J.Int (Obs.Metrics.Counter.value (Lazy.force m_errors)));
-            ("timeouts", J.Int (Obs.Metrics.Counter.value (Lazy.force m_timeouts)));
+            ("timeouts", J.Int (timeouts_total ()));
             ("inflight", J.Int (List.length infl));
           ] );
       ("caches", J.List (cache_stats_json ()));
@@ -800,9 +765,9 @@ let statusz_html () =
        timeouts) &middot; %d in flight</p>"
       (html_escape Tpan.Version.string)
       (Unix.getpid ()) (now -. start_time)
-      (Obs.Metrics.Counter.value (Lazy.force m_requests))
+      (requests_total ())
       (Obs.Metrics.Counter.value (Lazy.force m_errors))
-      (Obs.Metrics.Counter.value (Lazy.force m_timeouts))
+      (timeouts_total ())
       (List.length infl)
   in
   let caches =
@@ -934,22 +899,6 @@ let split_target target =
     in
     (path, params)
 
-let stage_totals_of spans =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Obs.Trace.event) ->
-      let dur, n =
-        match Hashtbl.find_opt tbl e.Obs.Trace.name with
-        | Some x -> x
-        | None -> (0., 0)
-      in
-      Hashtbl.replace tbl e.Obs.Trace.name (dur +. e.Obs.Trace.dur, n + 1))
-    spans;
-  Hashtbl.fold
-    (fun stage (seconds, count) acc -> { Obs.Ledger.stage; seconds; count } :: acc)
-    tbl []
-  |> List.sort (fun (a : Obs.Ledger.stage) b -> compare a.stage b.stage)
-
 let access_record config ~req ~meth ~path ~status ~dur ~body_bytes ~resp_bytes
     ~cache_fields =
   let exit_code =
@@ -1007,8 +956,6 @@ let ledger_row config ~req ~status ~dur ~stages =
 
 let handle config ~meth ~target ~body =
   let t0 = Unix.gettimeofday () in
-  Mutex.protect stats_lock (fun () ->
-      Obs.Metrics.Counter.incr (Lazy.force m_requests));
   worker_note_request ();
   let path, query = split_target target in
   let endpoint = normalize_endpoint path in
@@ -1050,10 +997,8 @@ let handle config ~meth ~target ~body =
         | exn -> error_response 500 ~exit_code:1 (Printexc.to_string exn))
   in
   let dur = Unix.gettimeofday () -. t0 in
-  Mutex.protect stats_lock (fun () ->
-      if resp.status = 504 then Obs.Metrics.Counter.incr (Lazy.force m_timeouts);
-      if resp.status >= 400 then Obs.Metrics.Counter.incr (Lazy.force m_errors);
-      Obs.Metrics.Histogram.observe (Lazy.force m_latency) dur);
+  if resp.status >= 400 then
+    Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (Lazy.force m_errors));
   if config.telemetry then begin
     inflight_remove req;
     Mutex.protect stats_lock (fun () ->
@@ -1081,7 +1026,7 @@ let handle config ~meth ~target ~body =
            ~body_bytes:(String.length body)
            ~resp_bytes:(String.length resp.body) ~cache_fields)
     | _ -> ());
-    ledger_row config ~req ~status:resp.status ~dur ~stages:(stage_totals_of spans)
+    ledger_row config ~req ~status:resp.status ~dur ~stages:(Obs.Trace.stage_totals_of spans)
   end;
   resp
 

@@ -26,11 +26,13 @@
     counted into per-endpoint RED families — [serve.endpoint.requests]
     and [serve.endpoint.errors] (typed: [http]/[app]/[timeout]/
     [internal]) counters, and a [serve.request_duration_s] histogram
-    whose OpenMetrics buckets each carry an exemplar trace id — plus
-    the process-wide [serve.requests]/[serve.errors]/[serve.timeouts]/
-    [serve.latency_s] totals that predate the labelled plane. Endpoint
+    whose OpenMetrics buckets each carry an exemplar trace id. Endpoint
     labels come from the route table (unknown paths collapse into
-    ["other"]), so cardinality is bounded.
+    ["other"]), so cardinality is bounded; [/statusz] sums its request
+    and timeout totals from these series. The one unlabelled family,
+    [serve.errors], counts every error response whatever the telemetry
+    setting, plus connection-level failures that never reach an
+    endpoint.
 
     Optionally the server also writes an NDJSON {e access log} (one
     {!Tpan_obs.Log} record per request: trace id, method, path, status,
@@ -45,8 +47,9 @@
     every response envelope; the configured deadline as the request's
     cancellation budget — a deadline crossing aborts the pipeline
     cooperatively and answers [504] with exit-code 6 semantics).
-    Responses are schema-2 envelopes: [schema], [kind], [trace_id],
-    [net_hash], [exit_code], then the payload.
+    Responses are {!Tpan.Doc.envelope}s — [schema], [kind], [trace_id],
+    [net_hash], [exit_code], then the payload — around the same payload
+    encoders the CLI's [--json] output uses.
 
     {b Connections.} HTTP/1.1 keep-alive with pipelining: each
     connection parses requests in a loop from a persistent buffer

@@ -66,7 +66,7 @@ let test_sweep () =
      symbolic closed form above must agree point for point *)
   check_run "sweep concrete"
     "sweep -m stopwait --vary timeout=250..1000:4 -j 2 --json"
-    [ "\"schema\": 2"; "\"exit_code\": 0"; "0.003708"; "0.002851" ]
+    [ "\"schema\": 2"; "\"exit_code\": 0"; "1805/486672"; "1805/632922" ]
 
 let test_json_schema () =
   (* schema 2 (default): one envelope around every machine document *)
@@ -84,11 +84,9 @@ let test_json_schema () =
         | Some (Tpan_obs.Jsonv.Str h) -> String.length h = 32
         | _ -> false)
    | Error e -> Alcotest.failf "schema-2 output does not parse: %s" e);
-  (* --json-schema 1 reproduces the historical document *)
-  let rc1, out1 = run_capture "analyze -m stopwait -t t7 --json --json-schema 1" in
-  Alcotest.(check int) "--json-schema 1 exits 0" 0 rc1;
-  Alcotest.(check bool) "legacy schema stamp" true (contains out1 "\"schema\": 1");
-  Alcotest.(check bool) "legacy doc has no envelope" false (contains out1 "net_hash");
+  (* the schema-1 documents are retired along with their flag *)
+  let rc1, _ = run_capture "analyze -m stopwait -t t7 --json --json-schema 1" in
+  Alcotest.(check bool) "--json-schema is an unknown option" true (rc1 <> 0);
   (* same envelope over simulation summaries *)
   let rc2, out2 =
     run_capture "simulate -m stopwait -t t7 --horizon 10000 --seed 4 --json"
@@ -96,6 +94,65 @@ let test_json_schema () =
   Alcotest.(check int) "simulate --json exits 0" 0 rc2;
   Alcotest.(check bool) "simulation envelope" true
     (contains out2 "\"kind\": \"simulation\"" && contains out2 "\"schema\": 2")
+
+(* serve ≡ CLI: the same request answered by [tpan ... --json] and by
+   [POST] to the service yields the same document — envelope, net hash
+   and payload — except for the per-request trace id. *)
+let test_serve_cli_payloads () =
+  let module J = Tpan_obs.Jsonv in
+  let without_trace_id text =
+    String.split_on_char '\n' text
+    |> List.filter (fun line -> not (contains line "\"trace_id\""))
+    |> String.concat "\n"
+  in
+  let same what args target body =
+    let rc, out = run_capture args in
+    Alcotest.(check int) (what ^ ": CLI exits 0") 0 rc;
+    let r =
+      Tpan_serve.Serve.handle Tpan_serve.Serve.default_config ~meth:"POST" ~target ~body
+    in
+    Alcotest.(check int) (what ^ ": serve answers 200") 200 r.Tpan_serve.Serve.status;
+    Alcotest.(check bool) (what ^ ": net_hash present") true
+      (match Result.map (J.member "net_hash") (J.of_string out) with
+       | Ok (Some (J.Str _)) -> true
+       | _ -> false);
+    Alcotest.(check string) (what ^ ": same bytes but the trace id")
+      (without_trace_id r.body) (without_trace_id out)
+  in
+  List.iter
+    (fun model ->
+      let deliveries = (Option.get (Tpan.Models.find model)).Tpan.Models.deliveries in
+      same ("/analyze " ^ model)
+        (Printf.sprintf "analyze -m %s %s --json" model
+           (String.concat " " (List.map (fun t -> "-t " ^ t) deliveries)))
+        "/analyze"
+        (J.to_string
+           (J.Obj
+              [
+                ("model", J.Str model);
+                ("throughputs", J.List (List.map (fun t -> J.Str t) deliveries));
+              ])))
+    [ "stopwait"; "abp" ];
+  let bindings =
+    [
+      ("F(t1)", "1"); ("F(t2)", "1"); ("F(t3)", "1"); ("F(t4)", "106.7");
+      ("F(t5)", "106.7"); ("F(t6)", "13.5"); ("F(t7)", "13.5"); ("F(t8)", "106.7");
+      ("F(t9)", "106.7"); ("f(t4)", "0.05"); ("f(t5)", "0.95"); ("f(t8)", "0.95");
+      ("f(t9)", "0.05");
+    ]
+  in
+  same "/sweep stopwait-sym"
+    (Printf.sprintf "sweep -m stopwait-sym -t t7 --vary 'E(t3)=250..1000:2' %s --json"
+       (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "-p '%s=%s'" k v) bindings)))
+    "/sweep"
+    (J.to_string
+       (J.Obj
+          [
+            ("model", J.Str "stopwait-sym");
+            ("transitions", J.List [ J.Str "t7" ]);
+            ("axes", J.List [ J.Str "E(t3)=250..1000:2" ]);
+            ("bindings", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) bindings));
+          ]))
 
 let test_sweep_determinism () =
   let args j =
@@ -391,7 +448,8 @@ let suite =
       Alcotest.test_case "dot outputs" `Quick test_dot;
       Alcotest.test_case "sweep" `Quick test_sweep;
       Alcotest.test_case "sweep determinism across -j" `Quick test_sweep_determinism;
-      Alcotest.test_case "--json schema 2 and --json-schema 1" `Quick test_json_schema;
+      Alcotest.test_case "--json schema 2 and --json-schema retired" `Quick test_json_schema;
+      Alcotest.test_case "serve = CLI --json payloads" `Quick test_serve_cli_payloads;
       Alcotest.test_case "profile" `Quick test_profile;
       Alcotest.test_case "--trace writes NDJSON" `Quick test_trace_flag;
       Alcotest.test_case "--metrics prints table" `Quick test_metrics_flag;

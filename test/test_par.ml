@@ -159,8 +159,9 @@ let test_sweep_json_deterministic () =
   in
   let render jobs =
     Tpan_obs.Jsonv.to_string
-      (Sweep.to_json
-         (Sweep.over_tpn ~jobs ~make:m.Models.make ~throughputs:m.Models.deliveries axes))
+      (Tpan_obs.Jsonv.Obj
+         (Sweep.fields
+            (Sweep.over_tpn ~jobs ~make:m.Models.make ~throughputs:m.Models.deliveries axes)))
   in
   let j1 = render 1 in
   Alcotest.(check bool) "non-trivial table" true (String.length j1 > 100);
@@ -218,7 +219,7 @@ let test_facade_analysis () =
   (match Tpan.Analysis.load (Tpan.Analysis.Builtin "stopwait") with
    | Error e -> Alcotest.fail (Tpan.Error.to_string e)
    | Ok tpn -> (
-     match Tpan.Analysis.analyze ~throughputs:[ "t7" ] tpn with
+     match Tpan.Artifact.analysis ~throughputs:[ "t7" ] (Tpan.Canonical.of_tpn tpn) with
      | Error e -> Alcotest.fail (Tpan.Error.to_string e)
      | Ok r ->
        Alcotest.(check int) "states" 18 r.Tpan.Analysis.states;

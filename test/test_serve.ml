@@ -158,6 +158,10 @@ let test_statusz () =
     (match J.to_int_opt (field reqs "total") with
     | Some n -> Alcotest.(check bool) "total counts this request" true (n >= 1)
     | None -> Alcotest.fail "requests.total must be an int");
+    (* summed from the labelled error series: the 504 of the deadline test *)
+    (match J.to_int_opt (field reqs "timeouts") with
+    | Some n -> Alcotest.(check bool) "timeouts counts the 504" true (n >= 1)
+    | None -> Alcotest.fail "requests.timeouts must be an int");
     (* the statusz request observes itself in flight *)
     Alcotest.(check bool) "statusz sees itself in flight" true
       (field reqs "inflight" = J.Int 1)
@@ -234,8 +238,11 @@ let test_tracez_and_red_metrics () =
     (contains om "tpan_serve_endpoint_requests_total{endpoint=\"/eval\"}");
   Alcotest.(check bool) "duration histogram buckets" true
     (contains om "tpan_serve_request_duration_s_bucket{endpoint=\"/eval\",le=");
-  (* unlabelled process-wide totals are still exported for old scrapes *)
-  Alcotest.(check bool) "legacy total kept" true
+  (* of the unlabelled process-wide families only the error total
+     remains; request counts live in the labelled family above *)
+  Alcotest.(check bool) "unlabelled error total kept" true
+    (contains om "tpan_serve_errors_total");
+  Alcotest.(check bool) "unlabelled request total retired" false
     (contains om "tpan_serve_requests_total ");
   let r404 = handle "GET" "/definitely-not-a-route" "" in
   Alcotest.(check int) "404 for the error family" 404 r404.Serve.status;
