@@ -91,7 +91,19 @@ let timed name f =
       } )
     :: !figure_times
 
-let oracle_records : (string * O.stats) list ref = ref []
+(* One oracle build's share of the process-wide symbolic.oracle.*
+   counters. *)
+type oracle_counts = {
+  queries : int;
+  trivial : int;
+  hits : int;
+  misses : int;
+  witness_refutations : int;
+  fm_runs : int;
+  baseline_fm_runs : int;
+}
+
+let oracle_records : (string * oracle_counts) list ref = ref []
 
 (* (workload, jobs, wall seconds at -j1/-jN, minor words at -j1/-jN);
    dumped as the "parallel" array of BENCH_tpan.json. Minor words per run
@@ -939,12 +951,39 @@ let check_diff () =
 (* ---------------- ORACLE ---------------- *)
 
 let oracle_model name make_tpn =
-  (* a fresh net so the counters cover exactly one build + analysis *)
-  let tpn = make_tpn () in
-  let g = SG.build tpn in
+  (* a fresh net so the counter deltas cover exactly one build + analysis *)
+  let counter k = Tpan_obs.Metrics.counter_value ("symbolic.oracle." ^ k) in
+  let read () =
+    {
+      queries = counter "queries";
+      trivial = counter "trivial";
+      hits = counter "memo_hits";
+      misses = counter "memo_misses";
+      witness_refutations = counter "witness_refutations";
+      fm_runs = counter "fm_runs";
+      baseline_fm_runs = counter "baseline_fm_runs";
+    }
+  in
+  let c0 = read () in
+  let g = SG.build (make_tpn ()) in
   let _ = M.Symbolic.analyze g in
-  let st = O.stats (Tpn.oracle tpn) in
-  Format.printf "  %s: %a@." name O.pp_stats st;
+  let c1 = read () in
+  let st =
+    {
+      queries = c1.queries - c0.queries;
+      trivial = c1.trivial - c0.trivial;
+      hits = c1.hits - c0.hits;
+      misses = c1.misses - c0.misses;
+      witness_refutations = c1.witness_refutations - c0.witness_refutations;
+      fm_runs = c1.fm_runs - c0.fm_runs;
+      baseline_fm_runs = c1.baseline_fm_runs - c0.baseline_fm_runs;
+    }
+  in
+  Format.printf
+    "  %s: queries %d, trivial %d, memo hits %d, memo misses %d, witness \
+     refutations %d, FM runs %d, FM runs (uncached) %d@."
+    name st.queries st.trivial st.hits st.misses st.witness_refutations st.fm_runs
+    st.baseline_fm_runs;
   oracle_records := (name, st) :: !oracle_records;
   st
 
@@ -953,14 +992,14 @@ let oracle () =
   let sw = oracle_model "stopwait" SW.symbolic in
   let abp = oracle_model "abp" Abp.symbolic in
   check "every query is answered without error (no unaccounted misses)"
-    (let total st = st.O.trivial + st.O.hits + st.O.misses in
-     total sw = sw.O.queries && total abp = abp.O.queries);
+    (let total st = st.trivial + st.hits + st.misses in
+     total sw = sw.queries && total abp = abp.queries);
   check "stop-and-wait: >= 5x fewer eliminations than the uncached procedure"
-    (sw.O.baseline_fm_runs >= 5 * sw.O.fm_runs);
+    (sw.baseline_fm_runs >= 5 * sw.fm_runs);
   check "ABP: >= 5x fewer eliminations than the uncached procedure"
-    (abp.O.baseline_fm_runs >= 5 * abp.O.fm_runs);
+    (abp.baseline_fm_runs >= 5 * abp.fm_runs);
   check "witness filter fires (refutations without elimination)"
-    (sw.O.witness_refutations > 0)
+    (sw.witness_refutations > 0)
 
 (* ---------------- CHECKPOINT ---------------- *)
 
@@ -1045,70 +1084,10 @@ let serve_cache () =
     (cold *. 1e3) (warm *. 1e3) ratio;
   check "cached /eval is >= 50x faster than the uncached analysis" (ratio >= 50.)
 
-(* ---------------- SERVE-OBS ---------------- *)
-
-(* What the telemetry plane costs the hot serving path: the same warm
-   POST /eval request through [Serve.handle], once with [telemetry]
-   off (bare: context, dispatch, cache hit, envelope) and once with the
-   default instrumented plane (per-endpoint RED metrics with exemplars,
-   in-flight tracking, tracez recording). The access log and ledger are
-   opt-in file I/O, not part of the always-on plane, so they are not in
-   this figure. The acceptance bound is 1.10x. *)
-let serve_obs_bare_ms = ref Float.nan
-let serve_obs_instr_ms = ref Float.nan
-let serve_obs_ratio = ref Float.nan
-
-let serve_obs () =
-  section "SERVE-OBS" "telemetry-plane overhead on the warm /eval serving path";
-  let body =
-    {|{"model":"abp-sym","transition":"recv_new0","point":{
-        "E(to)":"1000","F(send)":"1","F(pkt)":"106.7","F(proc)":"13.5",
-        "F(ack)":"106.7","f(lp)":"0.05","f(dp)":"0.95","f(la)":"0.05",
-        "f(da)":"0.95"}}|}
-  in
-  let bare_config =
-    { Tpan_serve.Serve.default_config with Tpan_serve.Serve.telemetry = false }
-  in
-  let instr_config = Tpan_serve.Serve.default_config in
-  let eval config () =
-    let r = Tpan_serve.Serve.handle config ~meth:"POST" ~target:"/eval" ~body in
-    if r.Tpan_serve.Serve.status <> 200 then
-      failwith
-        (Printf.sprintf "SERVE-OBS: /eval answered %d: %s" r.Tpan_serve.Serve.status
-           r.Tpan_serve.Serve.body)
-  in
-  eval instr_config () (* warm the artifact cache for both variants *);
-  let time reps f =
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Sys.time () -. t0) /. float_of_int reps
-  in
-  let reps = scaled 3000 in
-  (* interleave the two variants so drift (GC pressure, frequency
-     scaling) lands on both sides of the ratio evenly *)
-  let rounds = 3 in
-  let bare = ref 0. and instr = ref 0. in
-  for _ = 1 to rounds do
-    bare := !bare +. time reps (eval bare_config);
-    instr := !instr +. time reps (eval instr_config)
-  done;
-  let bare = !bare /. float_of_int rounds
-  and instr = !instr /. float_of_int rounds in
-  let ratio = instr /. bare in
-  serve_obs_bare_ms := bare *. 1e3;
-  serve_obs_instr_ms := instr *. 1e3;
-  serve_obs_ratio := ratio;
-  Format.printf
-    "  bare /eval %.4fms/req, instrumented %.4fms/req — overhead %.3fx@."
-    (bare *. 1e3) (instr *. 1e3) ratio;
-  check "instrumented /eval <= 1.10x bare request handling" (ratio <= 1.10)
-
 (* ---------------- SERVE-KEEPALIVE ---------------- *)
 
 (* What connection reuse buys the socket plane: the same GET /healthz
-   request against a live in-process listener (telemetry off), once
+   request against a live in-process listener, once
    over a fresh TCP connection per request — connect, one request,
    [Connection: close], EOF — and once down a single keep-alive
    connection in pipelined batches of 20. The endpoint is deliberately
@@ -1126,7 +1105,6 @@ let serve_keepalive () =
     {
       Tpan_serve.Serve.default_config with
       Tpan_serve.Serve.port = Some 0;
-      telemetry = false;
       max_requests_per_conn = 0 (* unlimited: the reuse side is the point *);
     }
   in
@@ -1387,17 +1365,17 @@ let emit_json ~micro path =
           (escape name) h.count (num h.sum) (num h.p50) (num h.p90) (num h.p99)
           (num h.max));
   pr "\n  ],\n  \"oracle\": [\n";
-  sep (List.rev !oracle_records) (fun (model, (st : O.stats)) ->
+  sep (List.rev !oracle_records) (fun (model, st) ->
       let reduction =
-        if st.O.fm_runs = 0 then float_of_int st.O.baseline_fm_runs
-        else float_of_int st.O.baseline_fm_runs /. float_of_int st.O.fm_runs
+        if st.fm_runs = 0 then float_of_int st.baseline_fm_runs
+        else float_of_int st.baseline_fm_runs /. float_of_int st.fm_runs
       in
       pr
         "    {\"model\": \"%s\", \"queries\": %d, \"trivial\": %d, \"hits\": %d, \
          \"misses\": %d, \"witness_refutations\": %d, \"fm_runs\": %d, \
          \"baseline_fm_runs\": %d, \"reduction_factor\": %s}"
-        (escape model) st.O.queries st.O.trivial st.O.hits st.O.misses
-        st.O.witness_refutations st.O.fm_runs st.O.baseline_fm_runs (num reduction));
+        (escape model) st.queries st.trivial st.hits st.misses st.witness_refutations
+        st.fm_runs st.baseline_fm_runs (num reduction));
   pr "\n  ],\n  \"parallel\": [\n";
   sep (List.rev !parallel_records) (fun (name, jobs, t1, tn, mw1, mwn) ->
       pr
@@ -1415,10 +1393,6 @@ let emit_json ~micro path =
       pr "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}" (escape name)
         (num ns) (num r2));
   pr "\n  ],\n";
-  pr
-    "  \"serve_obs\": {\"bare_ms_per_req\": %s, \"instrumented_ms_per_req\": %s, \
-     \"overhead_ratio\": %s},\n"
-    (num !serve_obs_bare_ms) (num !serve_obs_instr_ms) (num !serve_obs_ratio);
   pr
     "  \"serve_keepalive\": {\"close_rps\": %s, \"reuse_rps\": %s, \
      \"speedup_ratio\": %s},\n"
@@ -1499,7 +1473,6 @@ let () =
   timed "ORACLE" oracle;
   timed "CHECKPOINT" checkpoint_overhead;
   timed "SERVE" serve_cache;
-  timed "SERVE-OBS" serve_obs;
   timed "SERVE-KEEPALIVE" serve_keepalive;
   let micro = ref [] in
   timed "PERF" (fun () -> micro := perf ());

@@ -92,7 +92,7 @@ let progress label =
 
 (* State the flag handlers leave behind for subcommands and the at_exit
    hooks: chosen metrics rendering, the model in use, the last facade
-   report (captured through the Analysis hook), the ledger directory. *)
+   report (set by the subcommands that produce one), the ledger directory. *)
 
 type metrics_format = Fmt_table | Fmt_openmetrics | Fmt_json
 
@@ -102,10 +102,6 @@ let current_model : string option ref = ref None
 let current_net_hash : string option ref = ref None
 let last_report : Obs.Jsonv.t option ref = ref None
 let ledger_where : string option ref = ref None
-
-let () =
-  Tpan.Analysis.add_report_hook (fun r ->
-      last_report := Some (Obs.Jsonv.Obj (Tpan.Analysis.report_fields r)))
 
 let metrics_string format ~all =
   match format with
@@ -507,7 +503,10 @@ let analyze_cmd =
     if json then
       with_canonical file model (fun c ->
           match Tpan.Artifact.analysis ~max_states ~throughputs c with
-          | Ok report -> print_doc ~kind:"analysis" (Tpan.Analysis.report_fields report)
+          | Ok report ->
+            let fields = Tpan.Analysis.report_fields report in
+            last_report := Some (Obs.Jsonv.Obj fields);
+            print_doc ~kind:"analysis" fields
           | Error e -> fail e)
     else
     with_net file model (fun tpn ->
@@ -1166,7 +1165,8 @@ let metrics_cmd =
        Obs.Metrics.set_timing true;
        with_canonical file model (fun c ->
            match Tpan.Artifact.analysis ~max_states c with
-           | Ok _ -> ()
+           | Ok report ->
+             last_report := Some (Obs.Jsonv.Obj (Tpan.Analysis.report_fields report))
            | Error e -> fail e));
     let format = match !metrics_fmt_opt with Some f -> f | None -> Fmt_openmetrics in
     print_string (metrics_string format ~all:!metrics_all)
@@ -1510,7 +1510,7 @@ let top_cmd =
    context by the handler. *)
 let serve_cmd =
   let run host port socket deadline jobs log_level cache_mb cache_dir max_states
-      no_telemetry slow_ms access_log flight no_ledger ledger_dir workers
+      slow_ms access_log flight no_ledger ledger_dir workers
       max_requests_per_conn idle_timeout max_inflight max_conns warm =
     handle_errors (fun () ->
         (match jobs with
@@ -1524,11 +1524,8 @@ let serve_cmd =
         (* Per-request span trees feed /tracez and the per-endpoint
            stage breakdown; the retention cap keeps the shared trace
            buffer from growing without bound between requests. *)
-        if no_telemetry then Obs.Metrics.set_timing true
-        else begin
-          Obs.Trace.set_enabled true;
-          Obs.Trace.set_retention 4096
-        end;
+        Obs.Trace.set_enabled true;
+        Obs.Trace.set_retention 4096;
         Tpan.Artifact.configure
           ?budget_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_mb)
           ?persist_dir:cache_dir ();
@@ -1540,7 +1537,6 @@ let serve_cmd =
             socket_path = socket;
             deadline = Option.map parse_duration deadline;
             max_states = Some max_states;
-            telemetry = not no_telemetry;
             slow_ms;
             flight_path = Some (match flight with Some p -> p | None -> default_flight_file ());
             access_log;
@@ -1630,14 +1626,6 @@ let serve_cmd =
              evaluations) as NDJSON under $(docv) (e.g. $(b,.tpan/cache)); a restarted \
              server replays every kind and skips the rebuilds.")
   in
-  let no_telemetry_arg =
-    Arg.(
-      value & flag
-      & info [ "no-telemetry" ]
-          ~doc:
-            "Disable the request telemetry plane (per-endpoint RED metrics, /tracez \
-             recording, in-flight tracking, access log, per-request ledger rows).")
-  in
   let slow_ms_arg =
     Arg.(
       value
@@ -1688,11 +1676,9 @@ let serve_cmd =
       value & opt int 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Accept-loop worker domains ($(b,0) = auto). With more than one, TCP \
-             listeners use SO_REUSEPORT for kernel-balanced accepts where available; \
-             otherwise the workers share the listeners under an accept mutex. Each \
-             worker reports $(b,worker)-labelled request counters and a heartbeat in \
-             /statusz.")
+            "Accept-loop worker domains ($(b,0) = auto), all watching the same \
+             listeners. Each worker reports $(b,worker)-labelled request counters and \
+             a heartbeat in /statusz.")
   in
   let max_requests_per_conn_arg =
     Arg.(
@@ -1753,7 +1739,7 @@ let serve_cmd =
     Term.(
       const run $ host_arg $ port_arg $ socket_arg $ deadline_arg $ jobs_arg
       $ log_level_arg $ cache_budget_arg $ cache_dir_arg $ max_states_arg
-      $ no_telemetry_arg $ slow_ms_arg $ access_log_arg $ flight_arg $ no_ledger_arg
+      $ slow_ms_arg $ access_log_arg $ flight_arg $ no_ledger_arg
       $ ledger_dir_arg $ workers_arg $ max_requests_per_conn_arg $ idle_timeout_arg
       $ max_inflight_arg $ max_conns_arg $ warm_arg)
 

@@ -9,7 +9,6 @@ type config = {
   deadline : float option;
   max_states : int option;
   max_body : int;
-  telemetry : bool;
   slow_ms : float option;
   flight_path : string option;
   access_log : string option;
@@ -30,7 +29,6 @@ let default_config =
     deadline = None;
     max_states = None;
     max_body = 8 * 1024 * 1024;
-    telemetry = true;
     slow_ms = None;
     flight_path = None;
     access_log = None;
@@ -168,53 +166,41 @@ let workers_list () =
       Hashtbl.fold (fun _ w acc -> w :: acc) workers_tbl [])
   |> List.sort (fun a b -> compare a.w_id b.w_id)
 
-(* In-flight requests, keyed by trace id. The handler publishes each
-   request here for /statusz and keeps a domain-local pointer so the
-   body-resolution and envelope code can annotate the record (net hash,
-   exit code) without threading it through every handler. *)
-type inflight = {
-  if_trace_id : string;
-  if_name : string;  (* "POST /eval" *)
-  if_endpoint : string;
-  if_start : float;
-  mutable if_net_hash : string option;
-  mutable if_exit_code : int option;
+(* ----- the request record -----
+
+   [handle] mints one record per request and passes it to the handlers.
+   A handler sets [net_hash] as soon as the net resolves, so a request
+   that fails afterwards still names its net; [handle] fills in the
+   outcome. The tracez entry, access-log record, ledger row and slow
+   dump are all built from the finished record. In flight, the record
+   is published by trace id for /statusz. *)
+type request = {
+  trace_id : string;
+  name : string;  (* "POST /eval" *)
+  endpoint : string;
+  start : float;
+  mutable net_hash : string option;
+  mutable status : int;
+  mutable exit_code : int;
+  mutable dur : float;
 }
 
-let inflight : (string, inflight) Hashtbl.t = Hashtbl.create 16
+let inflight : (string, request) Hashtbl.t = Hashtbl.create 16
 let inflight_lock = Mutex.create ()
 
-let current_req : inflight option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let note_net_hash h =
-  match !(Domain.DLS.get current_req) with
-  | Some r -> r.if_net_hash <- Some h
-  | None -> ()
-
-let note_exit_code c =
-  match !(Domain.DLS.get current_req) with
-  | Some r -> r.if_exit_code <- Some c
-  | None -> ()
-
-let inflight_add r =
+let inflight_update f =
   Mutex.protect inflight_lock (fun () ->
-      Hashtbl.replace inflight r.if_trace_id r;
-      Obs.Metrics.Gauge.set (Lazy.force m_inflight)
-        (float_of_int (Hashtbl.length inflight)));
-  Domain.DLS.get current_req := Some r
-
-let inflight_remove r =
-  Domain.DLS.get current_req := None;
-  Mutex.protect inflight_lock (fun () ->
-      Hashtbl.remove inflight r.if_trace_id;
+      f inflight;
       Obs.Metrics.Gauge.set (Lazy.force m_inflight)
         (float_of_int (Hashtbl.length inflight)))
+
+let inflight_add r = inflight_update (fun t -> Hashtbl.replace t r.trace_id r)
+let inflight_remove r = inflight_update (fun t -> Hashtbl.remove t r.trace_id)
 
 let inflight_list () =
   Mutex.protect inflight_lock (fun () ->
       Hashtbl.fold (fun _ r acc -> r :: acc) inflight [])
-  |> List.sort (fun a b -> compare a.if_start b.if_start)
+  |> List.sort (fun a b -> compare a.start b.start)
 
 (* ----- access log -----
 
@@ -396,23 +382,16 @@ end
 
 (* ----- request JSON helpers ----- *)
 
-let pow2 k =
-  let rec go acc k = if k = 0 then acc else go (Q.mul acc (Q.of_int 2)) (k - 1) in
-  go Q.one k
-
 (* Floats decode to their exact binary rational, so a client sending
-   [0.25] and one sending ["1/4"] hit the same cache key downstream. *)
+   [0.25] and one sending ["1/4"] hit the same cache key downstream.
+   [frexp] gives a mantissa in [0.5, 1); scaled by 2^53 it is an exact
+   integer, leaving a power of two to apply in [Q]. *)
 let q_of_float f =
-  if Float.is_integer f then Q.of_int (int_of_float f)
-  else begin
-    let m = ref f and k = ref 0 in
-    while not (Float.is_integer !m) && !k < 1100 do
-      m := !m *. 2.;
-      incr k
-    done;
-    if not (Float.is_integer !m) then bad "non-finite number";
-    Q.div (Q.of_int (int_of_float !m)) (pow2 !k)
-  end
+  if not (Float.is_finite f) then bad "non-finite number";
+  let m, e = Float.frexp f in
+  let m = Q.of_int (int_of_float (Float.ldexp m 53)) and e = e - 53 in
+  let p = Q.of_bigint (Tpan_mathkit.Bigint.pow (Tpan_mathkit.Bigint.of_int 2) (abs e)) in
+  if e >= 0 then Q.mul m p else Q.div m p
 
 let q_of_json field = function
   | J.Int n -> Q.of_int n
@@ -468,7 +447,7 @@ let bindings_field field obj =
    the same canonicalized artifact keys, so a model requested by name
    and the same net posted as source share cache entries. *)
 
-let canonical_of_body obj =
+let canonical_of_body req obj =
   let model = str_field "model" obj in
   let net = str_field "net" obj in
   let load source params =
@@ -487,15 +466,10 @@ let canonical_of_body obj =
       | Error e -> raise (App_error e))
     | _ -> bad "body must carry exactly one of \"model\" or \"net\""
   in
-  note_net_hash (Tpan.Canonical.hash canonical);
+  req.net_hash <- Some (Tpan.Canonical.hash canonical);
   canonical
 
-(* ----- response envelopes ----- *)
-
-let envelope ~kind ~net_hash ~exit_code fields =
-  Option.iter note_net_hash net_hash;
-  note_exit_code exit_code;
-  Tpan.Doc.envelope ~kind ?net_hash ~exit_code fields
+(* ----- responses ----- *)
 
 let json ?(headers = []) status doc =
   {
@@ -510,57 +484,45 @@ let status_of_error e =
 
 let error_response ?(headers = []) ?net_hash status ~exit_code msg =
   json ~headers status
-    (envelope ~kind:"error" ~net_hash ~exit_code [ ("error", J.Str msg) ])
+    (Tpan.Doc.envelope ~kind:"error" ?net_hash ~exit_code [ ("error", J.Str msg) ])
+
+(* A handler's answer: the payload on success; a failure travels as
+   [App_error] to [handle], which maps every failure in one place. *)
+let answer req ~kind fields = function
+  | Ok v -> json 200 (Tpan.Doc.envelope ~kind ?net_hash:req.net_hash (fields v))
+  | Error e -> raise (App_error e)
 
 let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
 (* ----- endpoint handlers ----- *)
 
-let h_analyze config obj =
-  let canonical = canonical_of_body obj in
-  let max_states =
-    match int_field "max_states" obj with Some _ as s -> s | None -> config.max_states
-  in
-  let throughputs = str_list_field "throughputs" obj in
-  match Tpan.Artifact.analysis ?max_states ~throughputs canonical with
-  | Ok report ->
-    json 200
-      (envelope ~kind:"analysis"
-         ~net_hash:(Some (Tpan.Canonical.hash canonical))
-         ~exit_code:0
-         (Tpan.Analysis.report_fields report))
-  | Error e ->
-    error_response
-      ~net_hash:(Tpan.Canonical.hash canonical)
-      (status_of_error e) ~exit_code:(Tpan.Error.exit_code e) (Tpan.Error.to_string e)
+let max_states_field config obj =
+  match int_field "max_states" obj with Some _ as s -> s | None -> config.max_states
 
-let h_eval config obj =
-  let canonical = canonical_of_body obj in
-  let max_states =
-    match int_field "max_states" obj with Some _ as s -> s | None -> config.max_states
-  in
+let h_analyze config req obj =
+  let canonical = canonical_of_body req obj in
+  let max_states = max_states_field config obj in
+  let throughputs = str_list_field "throughputs" obj in
+  Tpan.Artifact.analysis ?max_states ~throughputs canonical
+  |> answer req ~kind:"analysis" Tpan.Analysis.report_fields
+
+let h_eval config req obj =
+  let canonical = canonical_of_body req obj in
+  let max_states = max_states_field config obj in
   let transition =
     match str_field "transition" obj with
     | Some t -> t
     | None -> bad "transition: required"
   in
   let point = bindings_field "point" obj in
-  match Tpan.Artifact.eval ?max_states canonical ~transition ~point with
-  | Ok v ->
-    json 200
-      (envelope ~kind:"eval"
-         ~net_hash:(Some (Tpan.Canonical.hash canonical))
-         ~exit_code:0
+  Tpan.Artifact.eval ?max_states canonical ~transition ~point
+  |> answer req ~kind:"eval" (fun v ->
          [
            ("transition", J.Str transition);
            ("throughput", J.Str (Q.to_string v));
            ("decimal", J.Raw (qf v));
            ("period", J.Str (if Q.is_zero v then "inf" else Q.to_string (Q.inv v)));
          ])
-  | Error e ->
-    error_response
-      ~net_hash:(Tpan.Canonical.hash canonical)
-      (status_of_error e) ~exit_code:(Tpan.Error.exit_code e) (Tpan.Error.to_string e)
 
 let axes_field obj =
   match J.member "axes" obj with
@@ -612,11 +574,9 @@ let sweep_key ~net_hash ~max_states ~jobs ~transitions ~bindings ~axes =
          ("axes", J.List (List.map Tpan_perf.Sweep.axis_to_json axes));
        ])
 
-let h_sweep config obj =
-  let canonical = canonical_of_body obj in
-  let max_states =
-    match int_field "max_states" obj with Some _ as s -> s | None -> config.max_states
-  in
+let h_sweep config req obj =
+  let canonical = canonical_of_body req obj in
+  let max_states = max_states_field config obj in
   let transitions =
     match str_list_field "transitions" obj with
     | [] -> bad "transitions: at least one transition required"
@@ -631,20 +591,8 @@ let h_sweep config obj =
       ~max_states ~jobs ~transitions ~bindings ~axes
   in
   Singleflight.run key (fun () ->
-      match
-        Tpan.Artifact.sweep_exprs ?max_states ?jobs canonical ~transitions ~bindings
-          ~axes
-      with
-      | Ok sw ->
-        json 200
-          (envelope ~kind:"sweep"
-             ~net_hash:(Some (Tpan.Canonical.hash canonical))
-             ~exit_code:0 (Tpan_perf.Sweep.fields sw))
-      | Error e ->
-        error_response
-          ~net_hash:(Tpan.Canonical.hash canonical)
-          (status_of_error e) ~exit_code:(Tpan.Error.exit_code e)
-          (Tpan.Error.to_string e))
+      Tpan.Artifact.sweep_exprs ?max_states ?jobs canonical ~transitions ~bindings ~axes
+      |> answer req ~kind:"sweep" Tpan_perf.Sweep.fields)
 
 (* ----- introspection endpoints ----- *)
 
@@ -749,9 +697,9 @@ let statusz_json () =
              (fun r ->
                J.Obj
                  [
-                   ("trace_id", J.Str r.if_trace_id);
-                   ("request", J.Str r.if_name);
-                   ("age_s", J.Float (now -. r.if_start));
+                   ("trace_id", J.Str r.trace_id);
+                   ("request", J.Str r.name);
+                   ("age_s", J.Float (now -. r.start));
                  ])
              infl) );
     ]
@@ -794,9 +742,9 @@ let statusz_html () =
       (List.map
          (fun r ->
            [
-             html_escape r.if_trace_id;
-             html_escape r.if_name;
-             Printf.sprintf "%.3f" (now -. r.if_start);
+             html_escape r.trace_id;
+             html_escape r.name;
+             Printf.sprintf "%.3f" (now -. r.start);
            ])
          infl)
   in
@@ -849,7 +797,7 @@ let wants_html query =
 
 (* ----- dispatch ----- *)
 
-let dispatch config ~meth ~path ~query ~body =
+let dispatch config req ~meth ~path ~query ~body =
   match (meth, path) with
   | "GET", "/healthz" ->
     json 200 (J.Obj [ ("schema", J.Int 2); ("status", J.Str "ok") ])
@@ -867,11 +815,11 @@ let dispatch config ~meth ~path ~query ~body =
     if wants_html query then html 200 (tracez_html ())
     else json 200 (Obs.Tracez.to_json ())
   | "POST", "/analyze" ->
-    Admission.with_slot config (fun () -> h_analyze config (obj_of_body body))
+    Admission.with_slot config (fun () -> h_analyze config req (obj_of_body body))
   | "POST", "/eval" ->
-    Admission.with_slot config (fun () -> h_eval config (obj_of_body body))
+    Admission.with_slot config (fun () -> h_eval config req (obj_of_body body))
   | "POST", "/sweep" ->
-    Admission.with_slot config (fun () -> h_sweep config (obj_of_body body))
+    Admission.with_slot config (fun () -> h_sweep config req (obj_of_body body))
   | _, ("/healthz" | "/metrics" | "/statusz" | "/tracez" | "/analyze" | "/eval" | "/sweep") ->
     raise (Http_error (405, Printf.sprintf "%s not allowed here" meth))
   | _ -> raise (Http_error (404, "no such endpoint"))
@@ -899,135 +847,128 @@ let split_target target =
     in
     (path, params)
 
-let access_record config ~req ~meth ~path ~status ~dur ~body_bytes ~resp_bytes
-    ~cache_fields =
-  let exit_code =
-    match req.if_exit_code with
-    | Some c -> c
-    | None -> if status >= 400 then 1 else 0
+(* The one mapping from a failed request to its answer — status, exit
+   code (stored on the record), message, extra headers. Only application
+   errors name the net in the envelope; protocol rejections never did. *)
+let failure req exn =
+  let fail ?headers ?net_hash status exit_code msg =
+    req.exit_code <- exit_code;
+    error_response ?headers ?net_hash status ~exit_code msg
   in
+  match exn with
+  | Http_error (status, msg) -> fail status 2 msg
+  | App_error e ->
+    fail ?net_hash:req.net_hash (status_of_error e) (Tpan.Error.exit_code e)
+      (Tpan.Error.to_string e)
+  | Admission.Overloaded retry_after ->
+    fail
+      ~headers:[ ("Retry-After", string_of_int retry_after) ]
+      503 1 "server overloaded, try again shortly"
+  | Obs.Cancel.Cancelled reason -> fail 504 6 (Obs.Cancel.reason_to_string reason)
+  | exn -> fail 500 1 (Printexc.to_string exn)
+
+let access_record config req ~meth ~path ~body_bytes ~resp_bytes ~cache_fields =
   {
-    Obs.Log.ts = req.if_start;
+    Obs.Log.ts = req.start;
     level = Obs.Log.Info;
     msg = "access";
     lane = Obs.Trace.current_lane ();
-    trace_id = Some req.if_trace_id;
+    trace_id = Some req.trace_id;
     fields =
       [
         ("method", J.Str meth);
         ("path", J.Str path);
-        ("endpoint", J.Str req.if_endpoint);
-        ("status", J.Int status);
-        ("exit_code", J.Int exit_code);
-        ("latency_s", J.Float dur);
+        ("endpoint", J.Str req.endpoint);
+        ("status", J.Int req.status);
+        ("exit_code", J.Int req.exit_code);
+        ("latency_s", J.Float req.dur);
         ("body_bytes", J.Int body_bytes);
         ("resp_bytes", J.Int resp_bytes);
-        ( "net_hash",
-          match req.if_net_hash with Some h -> J.Str h | None -> J.Null );
+        ("net_hash", match req.net_hash with Some h -> J.Str h | None -> J.Null);
         ("cache", J.Obj cache_fields);
         ( "deadline_budget_s",
           match config.deadline with Some b -> J.Float b | None -> J.Null );
         ( "deadline_consumed",
           match config.deadline with
-          | Some b when b > 0. -> J.Float (dur /. b)
+          | Some b when b > 0. -> J.Float (req.dur /. b)
           | _ -> J.Null );
       ];
   }
 
-let ledger_row config ~req ~status ~dur ~stages =
-  let exit_code =
-    match req.if_exit_code with
-    | Some c -> c
-    | None -> if status >= 400 then 1 else 0
+let ledger_row dir req ~stages =
+  let row =
+    Obs.Ledger.make ~version:Tpan.Version.string ~timestamp:req.start
+      ~subcommand:("serve:" ^ req.endpoint)
+      ~argv:[ "serve"; req.name ]
+      ~trace_id:req.trace_id ~stages ~exit_code:req.exit_code ~duration:req.dur ()
   in
-  match config.ledger_dir with
-  | None -> ()
-  | Some dir ->
-    let row =
-      Obs.Ledger.make ~version:Tpan.Version.string ~timestamp:req.if_start
-        ~subcommand:("serve:" ^ req.if_endpoint)
-        ~argv:[ "serve"; req.if_name ]
-        ~trace_id:req.if_trace_id ~stages ~exit_code ~duration:dur ()
-    in
-    (match Obs.Ledger.append ~dir row with
-    | Ok () -> ()
-    | Error e ->
-      Obs.Log.warn "serve: ledger append failed" ~fields:[ ("error", J.Str e) ])
+  match Obs.Ledger.append ~dir row with
+  | Ok () -> ()
+  | Error e -> Obs.Log.warn "serve: ledger append failed" ~fields:[ ("error", J.Str e) ]
 
 let handle config ~meth ~target ~body =
   let t0 = Unix.gettimeofday () in
   worker_note_request ();
   let path, query = split_target target in
   let endpoint = normalize_endpoint path in
-  let name = meth ^ " " ^ endpoint in
   let ctx = Obs.Context.make ?deadline:config.deadline () in
-  let tid = ctx.Obs.Context.trace_id in
   let req =
     {
-      if_trace_id = tid;
-      if_name = name;
-      if_endpoint = endpoint;
-      if_start = t0;
-      if_net_hash = None;
-      if_exit_code = None;
+      trace_id = ctx.Obs.Context.trace_id;
+      name = meth ^ " " ^ endpoint;
+      endpoint;
+      start = t0;
+      net_hash = None;
+      status = 0;
+      exit_code = 0;
+      dur = 0.;
     }
   in
-  let caches_before =
-    if config.telemetry && config.access_log <> None then Some (cache_counts ())
-    else None
-  in
-  if config.telemetry then begin
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (ep_requests endpoint));
-    inflight_add req
-  end;
+  let caches_before = Option.map (fun p -> (p, cache_counts ())) config.access_log in
+  Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (ep_requests endpoint));
+  inflight_add req;
   let resp =
     Obs.Context.with_ctx ctx (fun () ->
-        try dispatch config ~meth ~path ~query ~body with
-        | Http_error (status, msg) -> error_response status ~exit_code:2 msg
-        | App_error e ->
-          error_response (status_of_error e) ~exit_code:(Tpan.Error.exit_code e)
-            (Tpan.Error.to_string e)
-        | Admission.Overloaded retry_after ->
-          error_response
-            ~headers:[ ("Retry-After", string_of_int retry_after) ]
-            503 ~exit_code:1 "server overloaded, try again shortly"
-        | Obs.Cancel.Cancelled reason ->
-          error_response 504 ~exit_code:6 (Obs.Cancel.reason_to_string reason)
-        | exn -> error_response 500 ~exit_code:1 (Printexc.to_string exn))
+        try dispatch config req ~meth ~path ~query ~body with exn -> failure req exn)
   in
-  let dur = Unix.gettimeofday () -. t0 in
-  if resp.status >= 400 then
-    Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (Lazy.force m_errors));
-  if config.telemetry then begin
-    inflight_remove req;
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Histogram.observe ~trace_id:tid (ep_latency endpoint) dur;
-        match error_type_of_status resp.status with
-        | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
-        | None -> ());
-    let slow =
-      match config.slow_ms with Some ms -> dur *. 1000. >= ms | None -> false
-    in
-    let spans = Obs.Trace.take_events ~trace_id:tid in
-    Obs.Tracez.record
-      { trace_id = tid; name; status = resp.status; start = t0; dur; slow; spans };
-    if slow then (
-      match config.flight_path with
-      | Some p ->
-        Obs.Dump.write_dump ~trace_id:tid p
-          (Printf.sprintf "slow-request %s %.1fms" name (dur *. 1000.))
+  req.status <- resp.status;
+  req.dur <- Unix.gettimeofday () -. t0;
+  inflight_remove req;
+  Mutex.protect stats_lock (fun () ->
+      if resp.status >= 400 then Obs.Metrics.Counter.incr (Lazy.force m_errors);
+      Obs.Metrics.Histogram.observe ~trace_id:req.trace_id (ep_latency endpoint) req.dur;
+      match error_type_of_status resp.status with
+      | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
       | None -> ());
-    (match (config.access_log, caches_before) with
-    | Some log_path, Some before ->
-      let cache_fields = cache_delta before (cache_counts ()) in
-      access_write log_path
-        (access_record config ~req ~meth ~path ~status:resp.status ~dur
-           ~body_bytes:(String.length body)
-           ~resp_bytes:(String.length resp.body) ~cache_fields)
-    | _ -> ());
-    ledger_row config ~req ~status:resp.status ~dur ~stages:(Obs.Trace.stage_totals_of spans)
-  end;
+  let slow =
+    match config.slow_ms with Some ms -> req.dur *. 1000. >= ms | None -> false
+  in
+  let spans = Obs.Trace.take_events ~trace_id:req.trace_id in
+  Obs.Tracez.record
+    {
+      Obs.Tracez.trace_id = req.trace_id;
+      name = req.name;
+      status = req.status;
+      start = req.start;
+      dur = req.dur;
+      slow;
+      spans;
+    };
+  (match config.flight_path with
+  | Some p when slow ->
+    Obs.Dump.write_dump ~trace_id:req.trace_id p
+      (Printf.sprintf "slow-request %s %.1fms" req.name (req.dur *. 1000.))
+  | _ -> ());
+  (match caches_before with
+  | Some (log_path, before) ->
+    access_write log_path
+      (access_record config req ~meth ~path ~body_bytes:(String.length body)
+         ~resp_bytes:(String.length resp.body)
+         ~cache_fields:(cache_delta before (cache_counts ())))
+  | None -> ());
+  Option.iter
+    (fun dir -> ledger_row dir req ~stages:(Obs.Trace.stage_totals_of spans))
+    config.ledger_dir;
   resp
 
 (* ----- the HTTP/1.1 listener -----
@@ -1443,11 +1384,10 @@ end
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let bind_tcp ?(reuseport = false) host port =
+let bind_tcp host port =
   let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt s Unix.SO_REUSEADDR true;
-    if reuseport then Unix.setsockopt s Unix.SO_REUSEPORT true;
     Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
     Unix.listen s 128;
     Unix.set_nonblock s
@@ -1467,52 +1407,27 @@ let run ?(ready = fun _ -> ()) config =
   let wake_read, wake_w = Unix.pipe () in
   Atomic.set wake_write (Some wake_w);
   let workers = max 1 config.workers in
-  (* [shared] listeners are watched by every worker under an accept
-     mutex; [private_listeners.(k)] belong to worker [k] alone. With
-     SO_REUSEPORT available and a TCP-only, multi-worker configuration,
-     each worker gets its own kernel-balanced TCP listener; unix-domain
-     sockets (and platforms rejecting the option) use the shared set. *)
-  let shared = ref [] in
-  let private_listeners = Array.make workers [] in
-  let tcp_port = ref None in
-  (match config.port with
-  | None -> ()
-  | Some p ->
-    let bind_shared () =
-      let s = bind_tcp config.host p in
-      tcp_port := bound_port s;
-      shared := s :: !shared
-    in
-    if workers = 1 || config.socket_path <> None then bind_shared ()
-    else begin
-      let opened = ref [] in
-      match
-        let first = bind_tcp ~reuseport:true config.host p in
-        opened := [ first ];
-        let actual = Option.value (bound_port first) ~default:p in
-        for _ = 2 to workers do
-          opened := bind_tcp ~reuseport:true config.host actual :: !opened
-        done;
-        (first, List.rev !opened)
-      with
-      | first, all ->
-        tcp_port := bound_port first;
-        List.iteri (fun k s -> private_listeners.(k) <- [ s ]) all
-      | exception _ ->
-        List.iter close_quietly !opened;
-        bind_shared ()
-    end);
-  (match config.socket_path with
-  | None -> ()
-  | Some path ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind s (Unix.ADDR_UNIX path);
-    Unix.listen s 128;
-    Unix.set_nonblock s;
-    shared := s :: !shared);
-  if !shared = [] && Array.for_all (fun l -> l = []) private_listeners then
+  (* Every worker selects on the whole (non-blocking) listener set and
+     races to accept: the losers see EAGAIN and select again. No accept
+     mutex: a worker parked on one never reaches a select, and when that
+     worker is the calling domain — the thread the kernel hands process
+     signals to — SIGTERM would go unanswered. *)
+  let tcp_listener = Option.map (bind_tcp config.host) config.port in
+  let unix_listener =
+    Option.map
+      (fun path ->
+        (try Unix.unlink path with Unix.Unix_error _ -> ());
+        let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind s (Unix.ADDR_UNIX path);
+        Unix.listen s 128;
+        Unix.set_nonblock s;
+        s)
+      config.socket_path
+  in
+  let listeners = Option.to_list tcp_listener @ Option.to_list unix_listener in
+  if listeners = [] then
     invalid_arg "serve: no listen address (need a port or a socket path)";
+  let tcp_port = Option.bind tcp_listener bound_port in
   (* warm the artifact caches before announcing ready: the listeners
      already hold the port (connections queue in the backlog), but
      [ready] and the log line wait until requests will be answered from
@@ -1535,25 +1450,23 @@ let run ?(ready = fun _ -> ()) config =
           ("seconds", J.Float (Obs.Mclock.now () -. t0));
         ]
   end;
-  ready !tcp_port;
+  ready tcp_port;
   Obs.Log.info "serve: listening"
     ~fields:
       [
-        ("port", (match !tcp_port with Some p -> J.Int p | None -> J.Null));
+        ("port", (match tcp_port with Some p -> J.Int p | None -> J.Null));
         ( "socket",
           match config.socket_path with Some p -> J.Str p | None -> J.Null );
         ("workers", J.Int workers);
-        ("telemetry", J.Bool config.telemetry);
         ( "slow_ms",
           match config.slow_ms with Some ms -> J.Float ms | None -> J.Null );
         ( "access_log",
           match config.access_log with Some p -> J.Str p | None -> J.Null );
       ];
-  let accept_lock = Mutex.create () in
-  (* Try to accept one connection from [listeners]; [None] means retry
-     (spurious wakeup, EAGAIN race) or shutdown. The select blocks
-     without a timeout — the wake pipe is the only way out. *)
-  let accept_from listeners =
+  (* Accept one connection; [None] means retry (spurious wakeup, EAGAIN
+     race) or shutdown. The select blocks without a timeout — the wake
+     pipe is the only way out. *)
+  let accept_once () =
     if Atomic.get stop then None
     else begin
       Obs.Cancel.checkpoint ();
@@ -1577,10 +1490,8 @@ let run ?(ready = fun _ -> ()) config =
                 | exception Unix.Unix_error (err, _, _) ->
                   (* EMFILE/ENFILE under fd exhaustion, and anything
                      else unexpected, must never escape and kill the
-                     worker: a dead worker's SO_REUSEPORT listener
-                     stays bound, and the kernel keeps balancing new
-                     connections onto it. Log, back off briefly so a
-                     persistent condition can't spin the loop, retry. *)
+                     worker. Log, back off briefly so a persistent
+                     condition can't spin the loop, retry. *)
                   Obs.Log.warn "serve: accept failed"
                     ~fields:[ ("error", J.Str (Unix.error_message err)) ];
                   Unix.sleepf 0.05;
@@ -1594,18 +1505,8 @@ let run ?(ready = fun _ -> ()) config =
         None
     end
   in
-  let accept_shared () =
-    Mutex.lock accept_lock;
-    let r = accept_from !shared in
-    Mutex.unlock accept_lock;
-    r
-  in
   let worker_loop k =
     let w = worker_register k in
-    let accept_once () =
-      if private_listeners.(k) = [] then accept_shared ()
-      else accept_from private_listeners.(k)
-    in
     let rec loop () =
       if not (Atomic.get stop) then begin
         (match accept_once () with
@@ -1648,8 +1549,7 @@ let run ?(ready = fun _ -> ()) config =
      fd below closes under them *)
   Conns.drain ();
   Atomic.set wake_write None;
-  List.iter close_quietly !shared;
-  Array.iter (List.iter close_quietly) private_listeners;
+  List.iter close_quietly listeners;
   close_quietly wake_read;
   close_quietly wake_w;
   (match config.socket_path with

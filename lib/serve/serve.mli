@@ -22,16 +22,16 @@
     [/statusz] and [/tracez] answer JSON by default and a minimal HTML
     page with [?format=html].
 
-    {b Telemetry.} With [telemetry] on (the default), every request is
-    counted into per-endpoint RED families — [serve.endpoint.requests]
-    and [serve.endpoint.errors] (typed: [http]/[app]/[timeout]/
-    [internal]) counters, and a [serve.request_duration_s] histogram
-    whose OpenMetrics buckets each carry an exemplar trace id. Endpoint
-    labels come from the route table (unknown paths collapse into
-    ["other"]), so cardinality is bounded; [/statusz] sums its request
-    and timeout totals from these series. The one unlabelled family,
-    [serve.errors], counts every error response whatever the telemetry
-    setting, plus connection-level failures that never reach an
+    {b Telemetry.} Every request is counted into per-endpoint RED
+    families — [serve.endpoint.requests] and [serve.endpoint.errors]
+    (typed: [http]/[app]/[timeout]/[overload]/[internal]) counters, and
+    a [serve.request_duration_s] histogram whose OpenMetrics buckets
+    each carry an exemplar trace id — tracked in flight for [/statusz]
+    and recorded in [/tracez]. Endpoint labels come from the route table
+    (unknown paths collapse into ["other"]), so cardinality is bounded;
+    [/statusz] sums its request and timeout totals from these series.
+    The one unlabelled family, [serve.errors], counts every error
+    response plus connection-level failures that never reach an
     endpoint.
 
     Optionally the server also writes an NDJSON {e access log} (one
@@ -63,13 +63,11 @@
     a logged, counted ([serve.client_aborts]), non-fatal abort.
 
     {b Workers.} Accepting fans out over [workers] long-running
-    domains ({!Tpan_par.Pool.Service}): with SO_REUSEPORT available
-    and a TCP-only configuration each worker owns a kernel-balanced
-    listener, otherwise all workers share the listener set under an
-    accept mutex. Each accepted connection is then served on a domain
-    of its own (up to [max_conns]; beyond that, inline with a forced
-    close after one request), so a parked keep-alive client never
-    starves other clients of its accept loop. Each worker carries
+    domains ({!Tpan_par.Pool.Service}) that all select on the listener
+    set and race to accept. Each accepted connection is then served on
+    a domain of its own (up to [max_conns]; beyond that, inline with a
+    forced close after one request), so a parked keep-alive client
+    never starves other clients of its accept loop. Each worker carries
     [{worker="k"}]-labelled RED counters and a last-activity heartbeat
     in [/statusz]. Shutdown (SIGTERM/SIGINT or {!shutdown}) wakes
     every blocking select through a self-pipe immediately — no polling
@@ -90,10 +88,6 @@ type config = {
   deadline : float option;  (** per-request budget, seconds *)
   max_states : int option;  (** default state budget for analyses *)
   max_body : int;  (** request-body cap, bytes *)
-  telemetry : bool;
-      (** RED metrics, in-flight tracking, tracez recording; on by
-          default — the bench harness turns it off to measure bare
-          request handling *)
   slow_ms : float option;
       (** slow-request threshold in milliseconds; requests at or above
           it are flagged in [/tracez] and flight-captured *)
@@ -102,7 +96,8 @@ type config = {
   access_log : string option;  (** NDJSON access-log path *)
   ledger_dir : string option;
       (** when set, append one run-ledger row per request there *)
-  workers : int;  (** accept-loop domains (default 1) *)
+  workers : int;
+      (** accept-loop domains sharing the listeners (default 1) *)
   max_requests_per_conn : int;
       (** keep-alive budget per connection; [<= 0] means unlimited *)
   idle_timeout : float;
@@ -122,7 +117,7 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:8080], no Unix socket, no deadline, 8 MiB body cap;
-    telemetry on, no slow threshold, no access log, no ledger rows;
+    no slow threshold, no access log, no ledger rows;
     1 worker, 32 concurrent connections, 1000 requests per connection,
     30s idle timeout, no admission limit, no warm-up. *)
 

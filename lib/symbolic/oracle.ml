@@ -6,30 +6,8 @@ module IntSet = Set.Make (Int)
 
 module Metrics = Tpan_obs.Metrics
 
-type stats = {
-  queries : int;
-  trivial : int;
-  hits : int;
-  misses : int;
-  witness_refutations : int;
-  fm_runs : int;
-  baseline_fm_runs : int;
-}
-
-(* Per-instance counters back the legacy [stats]/[reset_stats] API;
-   every bump is mirrored into the process-wide registry aggregates
-   below so `tpan profile` / `--metrics` see all oracles combined.
-   [reset_stats] only touches the per-instance side. *)
-type mutable_stats = {
-  c_queries : Metrics.Counter.t;
-  c_trivial : Metrics.Counter.t;
-  c_hits : Metrics.Counter.t;
-  c_misses : Metrics.Counter.t;
-  c_witness_refutations : Metrics.Counter.t;
-  c_fm_runs : Metrics.Counter.t;
-  c_baseline : Metrics.Counter.t;
-}
-
+(* Process-wide aggregates over every oracle instance: `tpan profile`,
+   `--metrics` and the benchmarks read these. *)
 let g_queries = Metrics.counter "symbolic.oracle.queries"
 let g_trivial = Metrics.counter "symbolic.oracle.trivial"
 let g_hits = Metrics.counter "symbolic.oracle.memo_hits"
@@ -38,10 +16,6 @@ let g_witness_refutations = Metrics.counter "symbolic.oracle.witness_refutations
 let g_fm_runs = Metrics.counter "symbolic.oracle.fm_runs"
 let g_baseline = Metrics.counter "symbolic.oracle.baseline_fm_runs"
 let g_instances = Metrics.counter "symbolic.oracle.instances"
-
-let bump local global =
-  Metrics.Counter.incr local;
-  Metrics.Counter.incr global
 
 (* Cached knowledge about one canonical difference form [k] (first
    coefficient +1): does the store entail k ≥ 0 / k > 0, and the same for
@@ -83,7 +57,6 @@ type t = {
   keys : KeyTbl.table;
   memo_on : bool;
   witness_on : bool;
-  s : mutable_stats;
 }
 
 (* Replace every equality-eliminated variable by its definition. The subst
@@ -107,17 +80,6 @@ let to_fm_parts (rel : Constraints.relation) lhs rhs =
   | `Le -> (FM.ge b a).FM.form, `Ineq FM.Ge
   | `Lt -> (FM.gt b a).FM.form, `Ineq FM.Gt
   | `Eq -> (FM.eq a b).FM.form, `Equality
-
-let fresh_stats () =
-  {
-    c_queries = Metrics.Counter.create ();
-    c_trivial = Metrics.Counter.create ();
-    c_hits = Metrics.Counter.create ();
-    c_misses = Metrics.Counter.create ();
-    c_witness_refutations = Metrics.Counter.create ();
-    c_fm_runs = Metrics.Counter.create ();
-    c_baseline = Metrics.Counter.create ();
-  }
 
 let make ?(memo = true) ?(witness = true) cs =
   Metrics.Counter.incr g_instances;
@@ -221,7 +183,6 @@ let make ?(memo = true) ?(witness = true) cs =
     keys = KeyTbl.create 64;
     memo_on = memo;
     witness_on = witness;
-    s = fresh_stats ();
   }
 
 let is_consistent o = o.consistent
@@ -248,7 +209,7 @@ let query_extras o d =
     (L.vars d)
 
 let run_fm o goal_neg d =
-  bump o.s.c_fm_runs g_fm_runs;
+  Metrics.Counter.incr g_fm_runs;
   not (FM.feasible (goal_neg :: (query_extras o d @ o.store)))
 
 type field = Nonneg | Pos
@@ -280,15 +241,15 @@ let remember o key flipped field value =
 
 (* Does the store entail [d ≥ 0] (Nonneg) or [d > 0] (Pos)? *)
 let decide o field d =
-  bump o.s.c_queries g_queries;
+  Metrics.Counter.incr g_queries;
   if L.is_const d then begin
-    bump o.s.c_trivial g_trivial;
+    Metrics.Counter.incr g_trivial;
     let s = Q.sign (L.constant d) in
     (not o.consistent) || (match field with Nonneg -> s >= 0 | Pos -> s > 0)
   end
   else if not o.consistent then begin
     (* vacuous: every model (there are none) satisfies everything *)
-    bump o.s.c_trivial g_trivial;
+    Metrics.Counter.incr g_trivial;
     true
   end
   else begin
@@ -300,10 +261,10 @@ let decide o field d =
     let cached = if o.memo_on then lookup o key flipped field else None in
     match cached with
     | Some v ->
-      bump o.s.c_hits g_hits;
+      Metrics.Counter.incr g_hits;
       v
     | None ->
-      bump o.s.c_misses g_misses;
+      Metrics.Counter.incr g_misses;
       let refuted =
         o.witness_on
         && (match o.witness_env with
@@ -314,7 +275,7 @@ let decide o field d =
       in
       let value =
         if refuted then begin
-          bump o.s.c_witness_refutations g_witness_refutations;
+          Metrics.Counter.incr g_witness_refutations;
           false
         end
         else
@@ -330,9 +291,7 @@ let decide o field d =
       value
   end
 
-let charge o n =
-  Metrics.Counter.add o.s.c_baseline n;
-  Metrics.Counter.add g_baseline n
+let charge n = Metrics.Counter.add g_baseline n
 
 (* ---------------- public queries ---------------- *)
 
@@ -340,51 +299,22 @@ let diff o a b = subst_form o.subst (L.sub (Linexpr.to_form a) (Linexpr.to_form 
 
 let entails o (rel : Constraints.relation) a b =
   match rel with
-  | `Ge -> charge o 1; decide o Nonneg (diff o a b)
-  | `Gt -> charge o 1; decide o Pos (diff o a b)
-  | `Le -> charge o 1; decide o Nonneg (diff o b a)
-  | `Lt -> charge o 1; decide o Pos (diff o b a)
+  | `Ge -> charge 1; decide o Nonneg (diff o a b)
+  | `Gt -> charge 1; decide o Pos (diff o a b)
+  | `Le -> charge 1; decide o Nonneg (diff o b a)
+  | `Lt -> charge 1; decide o Pos (diff o b a)
   | `Eq ->
     (* direct procedure order: refute [d > 0] first, then [d < 0] *)
     let d = diff o a b in
-    if not (decide o Nonneg (L.neg d)) then begin charge o 1; false end
-    else begin charge o 2; decide o Nonneg d end
+    if not (decide o Nonneg (L.neg d)) then begin charge 1; false end
+    else begin charge 2; decide o Nonneg d end
 
 let compare_exprs o a b : Constraints.comparison =
   let d = diff o b a in
-  if decide o Pos d then begin charge o 1; Constraints.Lt end
-  else if decide o Pos (L.neg d) then begin charge o 2; Constraints.Gt end
-  else if not (decide o Nonneg (L.neg d)) then begin charge o 3; Constraints.Unknown end
+  if decide o Pos d then begin charge 1; Constraints.Lt end
+  else if decide o Pos (L.neg d) then begin charge 2; Constraints.Gt end
+  else if not (decide o Nonneg (L.neg d)) then begin charge 3; Constraints.Unknown end
   else begin
-    charge o 4;
+    charge 4;
     if decide o Nonneg d then Constraints.Eq else Constraints.Unknown
   end
-
-(* ---------------- statistics ---------------- *)
-
-let stats o =
-  {
-    queries = Metrics.Counter.value o.s.c_queries;
-    trivial = Metrics.Counter.value o.s.c_trivial;
-    hits = Metrics.Counter.value o.s.c_hits;
-    misses = Metrics.Counter.value o.s.c_misses;
-    witness_refutations = Metrics.Counter.value o.s.c_witness_refutations;
-    fm_runs = Metrics.Counter.value o.s.c_fm_runs;
-    baseline_fm_runs = Metrics.Counter.value o.s.c_baseline;
-  }
-
-let reset_stats o =
-  Metrics.Counter.reset o.s.c_queries;
-  Metrics.Counter.reset o.s.c_trivial;
-  Metrics.Counter.reset o.s.c_hits;
-  Metrics.Counter.reset o.s.c_misses;
-  Metrics.Counter.reset o.s.c_witness_refutations;
-  Metrics.Counter.reset o.s.c_fm_runs;
-  Metrics.Counter.reset o.s.c_baseline
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[<v>queries              %d@,trivial              %d@,memo hits            %d@,\
-     memo misses          %d@,witness refutations  %d@,FM runs              %d@,\
-     FM runs (uncached)   %d@]"
-    s.queries s.trivial s.hits s.misses s.witness_refutations s.fm_runs s.baseline_fm_runs

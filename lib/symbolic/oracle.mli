@@ -45,29 +45,20 @@ val witness : t -> (Var.t * Tpan_mathkit.Q.t) list option
 
 (** {1 Statistics}
 
-    Counters since construction (or the last {!reset_stats}):
-    - [queries]: primitive entailment questions asked (a comparison asks
-      up to four);
-    - [trivial]: answered structurally (constant difference), nothing
-      consulted;
-    - [hits]/[misses]: memo-table outcomes for the non-trivial rest;
-    - [witness_refutations]: misses answered by evaluating the witness
-      point, avoiding elimination;
-    - [fm_runs]: Fourier–Motzkin feasibility checks actually executed;
-    - [baseline_fm_runs]: checks the direct (uncached) procedure would
-      have executed for the same queries — the denominator of the
-      speedup claim. *)
-
-type stats = {
-  queries : int;
-  trivial : int;
-  hits : int;
-  misses : int;
-  witness_refutations : int;
-  fm_runs : int;
-  baseline_fm_runs : int;
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit
-val pp_stats : Format.formatter -> stats -> unit
+    Every oracle counts into the process-wide registry
+    ({!Tpan_obs.Metrics}) — read them as deltas around the work of
+    interest:
+    - [symbolic.oracle.queries]: primitive entailment questions asked (a
+      comparison asks up to four);
+    - [symbolic.oracle.trivial]: answered structurally (constant
+      difference), nothing consulted;
+    - [symbolic.oracle.memo_hits]/[memo_misses]: memo-table outcomes for
+      the non-trivial rest;
+    - [symbolic.oracle.witness_refutations]: misses answered by evaluating
+      the witness point, avoiding elimination;
+    - [symbolic.oracle.fm_runs]: Fourier–Motzkin feasibility checks
+      actually executed;
+    - [symbolic.oracle.baseline_fm_runs]: checks the direct (uncached)
+      procedure would have executed for the same queries — the
+      denominator of the speedup claim;
+    - [symbolic.oracle.instances]: oracles built. *)

@@ -27,7 +27,6 @@ let load ?(params = []) source =
            (String.concat ", " Models.names)))
 
 type report = {
-  model : string option;
   states : int;
   edges : int;
   decision_nodes : int;
@@ -35,25 +34,6 @@ type report = {
   deterministic_period : Q.t option;
   throughputs : (string * Q.t) list;
 }
-
-(* Observers of completed analyses: the CLI's run ledger registers one so
-   every facade report lands in the run record; tooling can add more.
-   Hooks run on the calling domain, after the report is built; a hook
-   that raises does not fail the analysis. *)
-let report_hooks : (report -> unit) list ref = ref []
-let add_report_hook h = report_hooks := h :: !report_hooks
-
-let notify report =
-  Tpan_obs.Log.info "analysis complete"
-    ~fields:
-      [
-        ("states", Tpan_obs.Jsonv.Int report.states);
-        ("edges", Tpan_obs.Jsonv.Int report.edges);
-        ("decision_nodes", Tpan_obs.Jsonv.Int report.decision_nodes);
-        ("throughputs", Tpan_obs.Jsonv.Int (List.length report.throughputs));
-      ];
-  List.iter (fun h -> try h report with _ -> ()) !report_hooks;
-  report
 
 let compute ?max_states ?(throughputs = []) tpn =
   Error.guard
@@ -63,7 +43,6 @@ let compute ?max_states ?(throughputs = []) tpn =
   match M.Concrete.analyze g with
   | res ->
     {
-      model = None;
       states;
       edges;
       decision_nodes = List.length res.Rates.dg.DG.nodes;
@@ -75,8 +54,7 @@ let compute ?max_states ?(throughputs = []) tpn =
     match DG.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
     | Some (period, _states) ->
       {
-        model = None;
-        states;
+          states;
         edges;
         decision_nodes = 0;
         mean_cycle_time = None;
@@ -85,8 +63,7 @@ let compute ?max_states ?(throughputs = []) tpn =
       }
     | None ->
       {
-        model = None;
-        states;
+          states;
         edges;
         decision_nodes = 0;
         mean_cycle_time = None;
@@ -98,7 +75,6 @@ let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
 let report_fields r =
   [
-    ("model", (match r.model with None -> J.Null | Some m -> J.Str m));
     ("states", J.Int r.states);
     ("edges", J.Int r.edges);
     ("decision_nodes", J.Int r.decision_nodes);
@@ -111,9 +87,6 @@ let report_fields r =
 
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>";
-  (match r.model with
-   | Some m -> Format.fprintf fmt "model: %s@," m
-   | None -> ());
   Format.fprintf fmt "timed reachability graph: %d states, %d edges@," r.states r.edges;
   Format.fprintf fmt "decision nodes: %d@," r.decision_nodes;
   (match r.mean_cycle_time with

@@ -26,7 +26,6 @@ val load : ?params:(string * Q.t) list -> source -> (Tpn.t, Error.t) result
     [Invalid_input] — for the other sources, which carry no parameters). *)
 
 type report = {
-  model : string option;  (** builtin name, when known *)
   states : int;  (** timed reachability graph *)
   edges : int;
   decision_nodes : int;
@@ -49,19 +48,8 @@ val compute :
     [deterministic_period] instead of [mean_cycle_time].
 
     Callers normally want {!Artifact.analysis} (content-addressed,
-    cached, notified) instead; [compute] is the function the artifact
+    cached, logged) instead; [compute] is the function the artifact
     layer caches. *)
-
-val notify : report -> report
-(** Emit the analysis-complete log record and run the registered
-    report hooks (returns its argument). The artifact layer calls this
-    on every served report — cache hits included — so ledger rows
-    always carry the report they served. *)
-
-val add_report_hook : (report -> unit) -> unit
-(** Observe every {!notify}-ed report — the CLI's run ledger
-    uses this to attach analysis summaries to run records. Hooks run on
-    the calling domain; a raising hook is ignored. *)
 
 val report_fields : report -> (string * Tpan_obs.Jsonv.t) list
 (** The report's payload fields, the one encoder behind [tpan analyze

@@ -55,7 +55,6 @@ let report_to_json (r : Analysis.report) =
   let q_opt = function None -> J.Null | Some q -> Codec.q_to_json q in
   J.Obj
     [
-      ("model", (match r.Analysis.model with None -> J.Null | Some m -> J.Str m));
       ("states", J.Int r.Analysis.states);
       ("edges", J.Int r.Analysis.edges);
       ("decision_nodes", J.Int r.Analysis.decision_nodes);
@@ -76,12 +75,7 @@ let report_of_json doc =
   try
     Some
       {
-        Analysis.model =
-          (match need (J.member "model" doc) with
-          | J.Null -> None
-          | J.Str m -> Some m
-          | _ -> raise Bad);
-        states = int (need (J.member "states" doc));
+        Analysis.states = int (need (J.member "states" doc));
         edges = int (need (J.member "edges" doc));
         decision_nodes = int (need (J.member "decision_nodes" doc));
         mean_cycle_time = q_opt (need (J.member "mean_cycle_time" doc));
@@ -275,12 +269,24 @@ let sweep_exprs ?max_states ?jobs canonical ~transitions ~bindings ~axes =
   | Error e -> Error e
   | Ok exprs -> Error.guard (fun () -> Sweep.over_expr ?jobs ~bindings ~exprs axes)
 
+(* Every served report, cache hits included, logs one record. *)
+let log_report (r : Analysis.report) =
+  Tpan_obs.Log.info "analysis complete"
+    ~fields:
+      [
+        ("states", J.Int r.states);
+        ("edges", J.Int r.edges);
+        ("decision_nodes", J.Int r.decision_nodes);
+        ("throughputs", J.Int (List.length r.throughputs));
+      ];
+  r
+
 let analysis ?max_states ?(throughputs = []) canonical =
   let key =
     Printf.sprintf "%s|ms=%s|thr=%s" (Canonical.hash canonical) (ms_key max_states)
       (String.concat "," throughputs)
   in
-  Result.map Analysis.notify
+  Result.map log_report
   @@ cached (caches ()).report key (fun () ->
          Analysis.compute ?max_states ~throughputs (Canonical.tpn canonical))
 

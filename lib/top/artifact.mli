@@ -111,9 +111,9 @@ val analysis :
   Canonical.t ->
   (Analysis.report, Error.t) result
 (** The full concrete analysis report, cached per
-    [(hash, max_states, throughputs)]. Every call — hit or miss —
-    runs {!Analysis.notify}, so report hooks (the run ledger) fire per
-    request, not per build. *)
+    [(hash, max_states, throughputs)]. Every call — hit or miss — logs
+    an ["analysis complete"] record, so the log shows each request, not
+    each build. *)
 
 (** {1 Simulation summaries} *)
 

@@ -115,27 +115,37 @@ let test_witness_is_model () =
     Alcotest.(check bool) "witness satisfies the system (equalities included)" true
       (C.satisfies env paper)
 
+(* The oracle counts into the process-wide symbolic.oracle.* counters;
+   [counted f] is f's result and its delta of counter [k]. *)
+let counted k f =
+  let read () = Tpan_obs.Metrics.counter_value ("symbolic.oracle." ^ k) in
+  let before = read () in
+  let v = f () in
+  (v, read () - before)
+
 let test_memo_behaviour () =
   let o = O.make paper in
-  let v1 = O.compare_exprs o f5 e3 in
-  let s1 = (O.stats o).O.hits in
-  let v2 = O.compare_exprs o f5 e3 in
-  let s2 = (O.stats o).O.hits in
+  let ((v1, (v2, hits)), fm), baseline =
+    counted "baseline_fm_runs" (fun () ->
+        counted "fm_runs" (fun () ->
+            let v1 = O.compare_exprs o f5 e3 in
+            (v1, counted "memo_hits" (fun () -> O.compare_exprs o f5 e3))))
+  in
   Alcotest.check cmp "stable verdict" v1 v2;
-  Alcotest.(check bool) "second query hits the memo" true (s2 > s1);
-  let st = O.stats o in
+  Alcotest.(check bool) "second query hits the memo" true (hits > 0);
   Alcotest.(check bool) "no more eliminations than the direct procedure" true
-    (st.O.fm_runs <= st.O.baseline_fm_runs);
-  O.reset_stats o;
-  Alcotest.(check int) "reset" 0 (O.stats o).O.queries
+    (fm <= baseline)
 
 let test_disabled_layers () =
   (* memo and witness off: still exact, just slower. *)
   let o = O.make ~memo:false ~witness:false paper in
-  List.iter
-    (fun (a, b) -> agree ~msg:"no memo/witness" paper o a b)
-    [ (f5, e3); (f4, f5); (f6, Lin.sub e3 f5); (f7, f6) ];
-  Alcotest.(check int) "nothing cached" 0 (O.stats o).O.hits
+  let (), hits =
+    counted "memo_hits" (fun () ->
+        List.iter
+          (fun (a, b) -> agree ~msg:"no memo/witness" paper o a b)
+          [ (f5, e3); (f4, f5); (f6, Lin.sub e3 f5); (f7, f6) ])
+  in
+  Alcotest.(check int) "nothing cached" 0 hits
 
 (* ---------------- randomized agreement ---------------- *)
 

@@ -19,12 +19,16 @@ let field doc k =
   | Some v -> v
   | None -> Alcotest.failf "response lacks %S" k
 
-let eval_body =
+(* the /eval body for stopwait-sym's t7 with E(t3) bound to the JSON
+   value [e3] *)
+let eval_body_at e3 =
   {|{"model":"stopwait-sym","transition":"t7","point":{
-      "E(t3)":"250","F(t1)":"1","F(t2)":"1","F(t3)":"1",
+      "E(t3)":|} ^ e3 ^ {|,"F(t1)":"1","F(t2)":"1","F(t3)":"1",
       "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
       "F(t8)":"106.7","F(t9)":"106.7",
       "f(t4)":"0.05","f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"}}|}
+
+let eval_body = eval_body_at {|"250"|}
 
 let test_healthz_and_routing () =
   let r = handle "GET" "/healthz" "" in
@@ -125,6 +129,21 @@ let test_sweep_endpoint () =
   in
   Alcotest.(check bool) "first grid point carries the exact value" true
     (contains r.Serve.body "1805/486672")
+
+(* A binding sent as a JSON number decodes to the exact binary rational
+   of the float, so it must agree with the same value spelled as a
+   string, including integers at and beyond 2^62. *)
+let test_large_numbers_exact () =
+  let throughput e3 =
+    let r = handle "POST" "/eval" (eval_body_at e3) in
+    Alcotest.(check int) ("eval 200 for " ^ e3) 200 r.Serve.status;
+    field (parse_body r) "throughput"
+  in
+  List.iter
+    (fun (number, text) ->
+      Alcotest.(check bool) (number ^ " = " ^ text) true
+        (throughput number = throughput (Printf.sprintf "%S" text)))
+    [ ("1e19", "10000000000000000000"); ("4.7e18", "4700000000000000000") ]
 
 (* ----- telemetry plane ----- *)
 
@@ -270,14 +289,47 @@ let test_access_log_slow_dump_ledger () =
   let net_hash =
     match field doc "net_hash" with J.Str h -> h | _ -> Alcotest.fail "net_hash"
   in
-  (* access log: one NDJSON record, correlating trace id, endpoint,
-     status, exit code, net hash *)
+  (* a request that resolves its net and then fails: 400 for the
+     missing transition *)
+  let bad_r =
+    Serve.handle config ~meth:"POST" ~target:"/eval" ~body:{|{"model":"stopwait-sym"}|}
+  in
+  Alcotest.(check int) "missing transition 400" 400 bad_r.Serve.status;
+  let bad_doc = parse_body bad_r in
+  let bad_tid =
+    match field bad_doc "trace_id" with J.Str t -> t | _ -> Alcotest.fail "trace_id"
+  in
+  let bad_exit = field bad_doc "exit_code" in
+  (* access log: one NDJSON record per request, correlating trace id,
+     endpoint, status, exit code, net hash *)
   let ic = open_in access in
   let line = input_line ic in
+  let bad_line = input_line ic in
   close_in ic;
   let rec_doc =
     match J.of_string line with Ok d -> d | Error e -> Alcotest.failf "access: %s" e
   in
+  let bad_rec =
+    match J.of_string bad_line with Ok d -> d | Error e -> Alcotest.failf "access: %s" e
+  in
+  Alcotest.(check bool) "failed request's access trace_id" true
+    (J.member "trace_id" bad_rec = Some (J.Str bad_tid));
+  let bad_fields = field bad_rec "fields" in
+  Alcotest.(check bool) "access exit_code = envelope exit_code" true
+    (field bad_fields "exit_code" = bad_exit);
+  Alcotest.(check bool) "failed request logs its resolved net" true
+    (field bad_fields "net_hash" = J.Str net_hash);
+  (* the tracez entry carries the response status *)
+  let traced =
+    List.concat_map
+      (fun (_, buckets, errors) ->
+        List.concat_map (fun (b : Tpan_obs.Tracez.bucket_view) -> b.entries) (errors :: buckets))
+      (Tpan_obs.Tracez.snapshot ())
+  in
+  Alcotest.(check bool) "tracez status = response status" true
+    (List.exists
+       (fun (e : Tpan_obs.Tracez.entry) -> e.trace_id = bad_tid && e.status = 400)
+       traced);
   Alcotest.(check bool) "access trace_id" true (J.member "trace_id" rec_doc = Some (J.Str tid));
   let fields = field rec_doc "fields" in
   Alcotest.(check bool) "access method" true (field fields "method" = J.Str "POST");
@@ -300,11 +352,15 @@ let test_access_log_slow_dump_ledger () =
     let serve_rows =
       List.filter (fun r -> r.Tpan_obs.Ledger.subcommand = "serve:/eval") rows
     in
-    Alcotest.(check int) "one serve row" 1 (List.length serve_rows);
-    let row = List.hd serve_rows in
-    Alcotest.(check bool) "ledger trace id" true
-      (row.Tpan_obs.Ledger.trace_id = Some tid);
-    Alcotest.(check bool) "ledger exit code" true (row.Tpan_obs.Ledger.exit_code = 0);
+    Alcotest.(check int) "one serve row per request" 2 (List.length serve_rows);
+    let row_of t =
+      match List.find_opt (fun r -> r.Tpan_obs.Ledger.trace_id = Some t) serve_rows with
+      | Some r -> r
+      | None -> Alcotest.failf "no ledger row for %s" t
+    in
+    Alcotest.(check int) "ledger exit code" 0 (row_of tid).Tpan_obs.Ledger.exit_code;
+    Alcotest.(check bool) "failed request's ledger exit code = envelope's" true
+      (J.Int (row_of bad_tid).Tpan_obs.Ledger.exit_code = bad_exit);
     (* runs --stats groups these by endpoint *)
     let stats = Tpan_obs.Ledger.stats rows in
     Alcotest.(check bool) "stats has serve:/eval" true
@@ -415,6 +471,8 @@ let suite =
       Alcotest.test_case "inline net shares the cache" `Quick test_inline_net_shares_cache;
       Alcotest.test_case "deadline answers 504 / exit 6" `Quick test_deadline_504;
       Alcotest.test_case "sweep endpoint" `Quick test_sweep_endpoint;
+      Alcotest.test_case "large JSON numbers decode exactly" `Quick
+        test_large_numbers_exact;
       Alcotest.test_case "statusz introspection" `Quick test_statusz;
       Alcotest.test_case "tracez and RED metrics" `Quick test_tracez_and_red_metrics;
       Alcotest.test_case "access log, slow dump, ledger rows" `Quick
