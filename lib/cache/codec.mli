@@ -27,14 +27,3 @@ val ratfun_to_json : Tpan_symbolic.Ratfun.t -> Tpan_obs.Jsonv.t
 (** [{"num": <poly>, "den": <poly>}]. *)
 
 val ratfun_of_json : Tpan_obs.Jsonv.t -> Tpan_symbolic.Ratfun.t option
-
-val trg_to_json : (Tpan_mathkit.Q.t, Tpan_mathkit.Q.t) Tpan_core.Semantics.graph -> Tpan_obs.Jsonv.t
-(** A concrete timed reachability graph, self-contained: the net rides
-    along as its canonical [.tpn] source and the state/edge arrays are
-    rendered with exact rational entries. *)
-
-val trg_of_json : Tpan_obs.Jsonv.t -> (Tpan_mathkit.Q.t, Tpan_mathkit.Q.t) Tpan_core.Semantics.graph option
-(** Reparse the embedded net and rebuild the graph against it. [None]
-    on any structural mismatch — including a place/transition name list
-    that disagrees with the reparsed net, so a stale line falls back to
-    a rebuild rather than a misindexed graph. *)

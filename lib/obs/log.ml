@@ -28,63 +28,41 @@ type record = {
 
 type sink = record -> unit
 
-(* The sink list lives on the main domain; workers never touch it (their
-   records go through the Local buffer), so a plain ref suffices. The
-   cached minimum severity makes [enabled] one load + one compare. *)
+(* Any domain may emit. The sink list and every sink call sit behind
+   one lock, so a record is written whole and never interleaves with
+   another domain's. The cached minimum severity makes [enabled] one
+   atomic load + one compare, outside the lock. *)
 let sinks : (level * sink) list ref = ref []
-let min_severity = ref max_int
+let sinks_lock = Mutex.create ()
+let min_severity = Atomic.make max_int
 
-let recompute () =
-  min_severity :=
-    List.fold_left (fun acc (lvl, _) -> min acc (severity lvl)) max_int !sinks
+let update f =
+  Mutex.protect sinks_lock (fun () ->
+      sinks := f !sinks;
+      Atomic.set min_severity
+        (List.fold_left (fun acc (lvl, _) -> min acc (severity lvl)) max_int !sinks))
 
-let set_sinks l =
-  sinks := l;
-  recompute ()
-
-let add_sink ?(min_level = Debug) sink =
-  sinks := (min_level, sink) :: !sinks;
-  recompute ()
-
-(* ---------------- per-domain buffers ---------------- *)
-
-module Local = struct
-  let key : record list ref option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-  let current () = Domain.DLS.get key
-  let install () = Domain.DLS.set key (Some (ref []))
-
-  let collect () =
-    match current () with
-    | None -> invalid_arg "Log.Local.collect: no buffer installed"
-    | Some b ->
-      Domain.DLS.set key None;
-      List.rev !b
-end
+let set_sinks l = update (fun _ -> l)
+let add_sink ?(min_level = Debug) sink = update (fun l -> (min_level, sink) :: l)
 
 (* ---------------- emission ---------------- *)
 
 let dispatch r =
-  List.iter (fun (lvl, sink) -> if severity r.level >= severity lvl then sink r) !sinks
+  Mutex.protect sinks_lock (fun () ->
+      List.iter (fun (lvl, sink) -> if severity r.level >= severity lvl then sink r) !sinks)
 
-let enabled level = severity level >= !min_severity
+let enabled level = severity level >= Atomic.get min_severity
 
 let emit level msg fields =
-  if enabled level then begin
-    let r =
+  if enabled level then
+    dispatch
       { ts = Unix.gettimeofday (); level; msg; lane = Trace.current_lane ();
         trace_id = Context.trace_id (); fields }
-    in
-    match Local.current () with
-    | Some b -> b := r :: !b
-    | None -> dispatch r
-  end
 
 let debug ?(fields = []) msg = emit Debug msg fields
 let info ?(fields = []) msg = emit Info msg fields
 let warn ?(fields = []) msg = emit Warn msg fields
 let error ?(fields = []) msg = emit Error msg fields
-
-let flush_records rs = List.iter dispatch rs
 
 (* ---------------- sinks ---------------- *)
 

@@ -1,15 +1,11 @@
-(* Counters, gauges and histograms are plain mutable cells on the main
-   domain. Worker domains (created by Tpan_par.Pool) install a domain-local
-   delta buffer: every update lands in the buffer instead of the shared
-   cell, and the pool merges the buffers into the global cells at join
-   time. This keeps the hot-path cost at one DLS read + one store and makes
-   metric totals independent of how work was scheduled. *)
+(* Every cell may be written from any domain: counters and gauges are
+   atomics (one fetch-and-add or store per update), and each histogram
+   carries a mutex that every observation and every read takes. Metric
+   totals are therefore independent of how work was scheduled, and a
+   live scrape sees pool workers' and connection domains' progress. *)
 
-let next_id = Atomic.make 0
-let new_id () = Atomic.fetch_and_add next_id 1
-
-type counter = { cid : int; mutable cv : int }
-type gauge = { gid : int; mutable gv : float }
+type counter = int Atomic.t
+type gauge = float Atomic.t
 
 type exemplar = { ex_value : float; ex_trace_id : string; ex_ts : float }
 
@@ -20,7 +16,7 @@ let default_buckets =
   [| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10. |]
 
 type histogram = {
-  hid : int;
+  lock : Mutex.t;  (* guards every mutable field below *)
   mutable data : float array;
   mutable stored : int;  (* valid prefix of [data] *)
   mutable total : int;  (* observations ever, drives round-robin overwrite *)
@@ -32,83 +28,28 @@ type histogram = {
   bin_exemplars : exemplar option array;  (* latest exemplar per bin *)
 }
 
-(* ---------------- domain-local delta buffers ---------------- *)
-
-module Local = struct
-  type buf = {
-    counters : (int, counter * int ref) Hashtbl.t;
-    gauges : (int, gauge * float ref) Hashtbl.t;
-    hists : (int, histogram * (float * string option) list ref) Hashtbl.t;
-  }
-
-  type deltas = buf
-
-  let key : buf option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-  let current () = Domain.DLS.get key
-
-  let install () =
-    Domain.DLS.set key
-      (Some
-         { counters = Hashtbl.create 16; gauges = Hashtbl.create 8; hists = Hashtbl.create 8 })
-
-  let collect () =
-    match current () with
-    | None -> invalid_arg "Metrics.Local.collect: no buffer installed"
-    | Some b ->
-      Domain.DLS.set key None;
-      b
-
-  let bump_counter b c n =
-    match Hashtbl.find_opt b.counters c.cid with
-    | Some (_, r) -> r := !r + n
-    | None -> Hashtbl.add b.counters c.cid (c, ref n)
-
-  let bump_gauge b g x =
-    match Hashtbl.find_opt b.gauges g.gid with
-    | Some (_, r) -> if x > !r then r := x
-    | None -> Hashtbl.add b.gauges g.gid (g, ref x)
-
-  let bump_hist b h x trace =
-    match Hashtbl.find_opt b.hists h.hid with
-    | Some (_, r) -> r := (x, trace) :: !r
-    | None -> Hashtbl.add b.hists h.hid (h, ref [ (x, trace) ])
-end
-
 module Counter = struct
   type t = counter
 
-  let create () = { cid = new_id (); cv = 0 }
-
-  let add c n =
-    match Local.current () with
-    | None -> c.cv <- c.cv + n
-    | Some b -> Local.bump_counter b c n
-
+  let create () = Atomic.make 0
+  let add c n = ignore (Atomic.fetch_and_add c n : int)
   let incr c = add c 1
-  let value c = c.cv
-  let reset c = c.cv <- 0
+  let value c = Atomic.get c
+  let reset c = Atomic.set c 0
 end
 
 module Gauge = struct
   type t = gauge
 
-  let create () = { gid = new_id (); gv = 0. }
+  let create () = Atomic.make 0.
+  let set g x = Atomic.set g x
 
-  (* In a worker domain both [set] and [set_max] merge by maximum: the
-     gauges updated on parallel paths are peaks, and last-writer-wins has
-     no deterministic meaning across domains. *)
-  let set g x =
-    match Local.current () with
-    | None -> g.gv <- x
-    | Some b -> Local.bump_gauge b g x
+  let rec set_max g x =
+    let cur = Atomic.get g in
+    if x > cur && not (Atomic.compare_and_set g cur x) then set_max g x
 
-  let set_max g x =
-    match Local.current () with
-    | None -> if x > g.gv then g.gv <- x
-    | Some b -> Local.bump_gauge b g x
-
-  let value g = g.gv
-  let reset g = g.gv <- 0.
+  let value g = Atomic.get g
+  let reset g = Atomic.set g 0.
 end
 
 module Histogram = struct
@@ -122,7 +63,7 @@ module Histogram = struct
           invalid_arg "Histogram.create: buckets must be strictly increasing")
       buckets;
     {
-      hid = new_id ();
+      lock = Mutex.create ();
       data = [||];
       stored = 0;
       total = 0;
@@ -140,7 +81,7 @@ module Histogram = struct
     let rec go i = if i >= n || x <= h.bounds.(i) then i else go (i + 1) in
     go 0
 
-  let observe_direct ?trace h x =
+  let observe_locked h x exemplar =
     (if h.stored < h.cap then begin
        if h.stored >= Array.length h.data then begin
          let grown = Array.make (max 64 (min h.cap (2 * Array.length h.data))) 0. in
@@ -156,46 +97,46 @@ module Histogram = struct
     if x > h.max_v then h.max_v <- x;
     let bin = bin_of h x in
     h.bin_counts.(bin) <- h.bin_counts.(bin) + 1;
-    match trace with
-    | None -> ()
-    | Some ex_trace_id ->
-      h.bin_exemplars.(bin) <-
-        Some { ex_value = x; ex_trace_id; ex_ts = Unix.gettimeofday () }
+    match exemplar with Some _ -> h.bin_exemplars.(bin) <- exemplar | None -> ()
+
+  let locked h f = Mutex.protect h.lock (fun () -> f h)
 
   let observe ?trace_id h x =
-    match Local.current () with
-    | None -> observe_direct ?trace:trace_id h x
-    | Some b -> Local.bump_hist b h x trace_id
+    (* the clock read stays outside the critical section *)
+    let exemplar =
+      match trace_id with
+      | None -> None
+      | Some ex_trace_id -> Some { ex_value = x; ex_trace_id; ex_ts = Unix.gettimeofday () }
+    in
+    locked h (fun h -> observe_locked h x exemplar)
 
-  let count h = h.total
-  let sum h = h.hsum
-  let max_value h = if h.total = 0 then Float.nan else h.max_v
+  let max_locked h = if h.total = 0 then Float.nan else h.max_v
+  let count h = locked h (fun h -> h.total)
+  let sum h = locked h (fun h -> h.hsum)
+  let max_value h = locked h max_locked
+
+  (* Nearest-rank percentiles over a sorted copy of the stored window. *)
+  let rank sorted q =
+    let n = Array.length sorted in
+    if n = 0 then Float.nan
+    else
+      let r = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
+      sorted.(max 0 (min (n - 1) r))
 
   let percentile h q =
-    if h.stored = 0 then Float.nan
-    else begin
-      let sorted = Array.sub h.data 0 h.stored in
-      Array.sort compare sorted;
-      let rank = int_of_float (Float.ceil (q *. float_of_int h.stored)) - 1 in
-      sorted.(max 0 (min (h.stored - 1) rank))
-    end
+    let sorted = locked h (fun h -> Array.sub h.data 0 h.stored) in
+    Array.sort compare sorted;
+    rank sorted q
 
   let reset h =
-    h.stored <- 0;
-    h.total <- 0;
-    h.hsum <- 0.;
-    h.max_v <- neg_infinity;
-    Array.fill h.bin_counts 0 (Array.length h.bin_counts) 0;
-    Array.fill h.bin_exemplars 0 (Array.length h.bin_exemplars) None
+    locked h (fun h ->
+        h.stored <- 0;
+        h.total <- 0;
+        h.hsum <- 0.;
+        h.max_v <- neg_infinity;
+        Array.fill h.bin_counts 0 (Array.length h.bin_counts) 0;
+        Array.fill h.bin_exemplars 0 (Array.length h.bin_exemplars) None)
 end
-
-let merge_deltas (b : Local.deltas) =
-  Hashtbl.iter (fun _ (c, r) -> c.cv <- c.cv + !r) b.Local.counters;
-  Hashtbl.iter (fun _ (g, r) -> if !r > g.gv then g.gv <- !r) b.Local.gauges;
-  Hashtbl.iter
-    (fun _ (h, r) ->
-      List.iter (fun (x, trace) -> Histogram.observe_direct ?trace h x) (List.rev !r))
-    b.Local.hists
 
 (* ---------------- timing switch ---------------- *)
 
@@ -304,6 +245,7 @@ type value =
       buckets : bucket list;
     }
 
+(* Called with the histogram's lock held. *)
 let histogram_buckets (h : Histogram.t) =
   let n = Array.length h.bin_counts in
   let acc = ref 0 in
@@ -319,16 +261,18 @@ let value_of = function
   | C c -> Counter_v (Counter.value c)
   | G g -> Gauge_v (Gauge.value g)
   | H h ->
-    Histogram_v
-      {
-        count = Histogram.count h;
-        sum = Histogram.sum h;
-        p50 = Histogram.percentile h 0.5;
-        p90 = Histogram.percentile h 0.9;
-        p99 = Histogram.percentile h 0.99;
-        max = Histogram.max_value h;
-        buckets = histogram_buckets h;
-      }
+    (* one critical section, so count, sum and buckets agree *)
+    let count, sum, max, window, buckets =
+      Histogram.locked h (fun h ->
+          ( h.total,
+            h.hsum,
+            Histogram.max_locked h,
+            Array.sub h.data 0 h.stored,
+            histogram_buckets h ))
+    in
+    Array.sort compare window;
+    let p = Histogram.rank window in
+    Histogram_v { count; sum; p50 = p 0.5; p90 = p 0.9; p99 = p 0.99; max; buckets }
 
 (* Snapshot entries sorted by full series name: a family's labelled
    series are adjacent (same prefix), which the OpenMetrics export

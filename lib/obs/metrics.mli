@@ -1,12 +1,15 @@
 (** Metrics registry: named counters, gauges and latency histograms shared
     by the whole pipeline.
 
-    Counters and gauges are plain mutable ints/floats — one store per
-    update, cheap enough to leave permanently on in every hot loop.
-    Histogram {e timing} (the only part that touches the clock or
-    allocates) is gated behind a global switch ({!set_timing}) that
-    defaults to off, so an uninstrumented run pays nothing beyond the
-    integer bumps.
+    Every metric may be updated and read from any domain. Counters and
+    gauges are atomics — one fetch-and-add or store per update, cheap
+    enough to leave permanently on in every hot loop — and each
+    histogram serializes its observations and reads through a mutex of
+    its own. Totals are therefore independent of scheduling, and a live
+    scrape sees work still running on other domains. Histogram
+    {e timing} (the only part that touches the clock or allocates) is
+    gated behind a global switch ({!set_timing}) that defaults to off,
+    so an uninstrumented run pays nothing beyond the integer bumps.
 
     Naming convention: [<lib>.<module>.<metric>], e.g.
     [mathkit.fm.eliminations], [core.semantics.states_interned],
@@ -148,35 +151,6 @@ val counter_value : string -> int
 
 val reset_all : unit -> unit
 (** Zero every registered metric (standalone counters are untouched). *)
-
-(** {1 Per-domain delta buffers}
-
-    Worker domains must not race on the shared cells. A worker calls
-    {!Local.install} before running tasks; from then on every update made
-    on that domain lands in a domain-local buffer. When the worker is done
-    it calls {!Local.collect} and hands the buffer to the joining domain,
-    which folds it into the global registry with {!merge_deltas}.
-    [Tpan_par.Pool] does all of this automatically.
-
-    Merge semantics: counters add their deltas (totals are therefore
-    independent of scheduling); gauges merge by maximum (the gauges touched
-    on parallel paths are peaks — in a worker, [Gauge.set] behaves like
-    [Gauge.set_max]); histograms replay their buffered observations
-    (exemplar trace ids included). *)
-
-module Local : sig
-  type deltas
-
-  val install : unit -> unit
-  (** Redirect this domain's metric updates into a fresh buffer. *)
-
-  val collect : unit -> deltas
-  (** Detach and return the buffer, restoring direct updates.
-      @raise Invalid_argument if no buffer is installed. *)
-end
-
-val merge_deltas : Local.deltas -> unit
-(** Fold a collected buffer into the global cells (call after join). *)
 
 val pp_table : ?all:bool -> Format.formatter -> unit -> unit
 (** Human-readable two-column table of {!snapshot}. [all] as in

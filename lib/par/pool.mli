@@ -18,16 +18,15 @@
     - Work stealing via a single [Atomic] index over the input array;
       the calling domain participates, so [jobs = 1] equals plain
       [List.map] even in cost.
-    - Worker domains install a {!Tpan_obs.Metrics.Local} delta buffer
-      and a {!Tpan_obs.Log.Local} record buffer; both are folded into
-      the global registry / replayed through the log sinks at join time,
-      so metric totals are scheduling-independent and log lines never
-      interleave mid-line. Worker [k] traces in lane [k + 1]
-      ({!Tpan_obs.Trace.set_lane}), so spans closed inside workers land
-      in the merged Chrome trace as parallel tracks, wrapped in a
-      per-worker [pool.worker] span. Each worker also records the GC
-      words it allocated (OCaml 5 keeps allocation counters per domain)
-      into the [par.pool.worker_minor_words] /
+    - Workers update the shared {!Tpan_obs.Metrics} registry and log
+      through the shared {!Tpan_obs.Log} sinks directly — both are safe
+      from any domain — so metric totals are scheduling-independent and
+      a live scrape sees a parallel region's progress. Worker [k] traces
+      in lane [k + 1] ({!Tpan_obs.Trace.set_lane}), so spans closed
+      inside workers land in the merged Chrome trace as parallel tracks,
+      wrapped in a per-worker [pool.worker] span. Each worker also
+      records the GC words it allocated (OCaml 5 keeps allocation
+      counters per domain) into the [par.pool.worker_minor_words] /
       [par.pool.worker_major_words] histograms, so GC pressure inside
       the pool is visible in [tpan profile] and the OpenMetrics export.
     - Nested calls run sequentially: a task that itself calls [map]
@@ -106,15 +105,11 @@ module Service : sig
   (** [run ~workers f] runs [f k] for [k = 0 .. workers-1], worker 0 on
       the calling domain and the rest on fresh domains, and joins them
       all before returning. Built for workers that live as long as the
-      process (a server's accept loops), so — unlike {!map} workers —
-      they install {e no} metrics or log buffering: counter increments
-      and log records publish immediately, keeping a live [/metrics]
-      endpoint truthful while the workers run. Each worker gets trace
-      lane [k] and the caller's request context. The nested-call guard
-      is {e not} set: work dispatched from inside a service worker
-      (e.g. a request fanning a sweep over {!map}) still parallelizes.
-      Keep worker-side logging low-volume — records drive the sinks
-      from multiple domains. An exception escaping a spawned worker is
+      process (a server's accept loops). Each worker gets trace lane
+      [k] and the caller's request context. The nested-call guard is
+      {e not} set: work dispatched from inside a service worker (e.g. a
+      request fanning a sweep over {!map}) still parallelizes. An
+      exception escaping a spawned worker is
       logged and swallows that worker; one escaping worker 0 re-raises
       after the others join. *)
 end

@@ -57,8 +57,13 @@ type response = {
    failures that never reach an endpoint. *)
 
 let start_time = Unix.gettimeofday ()
-let m_errors = lazy (Obs.Metrics.counter "serve.errors")
-let m_inflight = lazy (Obs.Metrics.gauge "serve.inflight")
+
+(* Serve's metrics are found in the registry at each use, not held in
+   lazies: connection domains would force a lazy concurrently, which
+   raises [CamlinternalLazy.Undefined]. Registering on first use keeps
+   them out of the metric tables of processes that never serve. *)
+let m_errors () = Obs.Metrics.counter "serve.errors"
+let m_inflight () = Obs.Metrics.gauge "serve.inflight"
 
 (* Endpoint labels are drawn from the route table (unknown paths all
    collapse into "other"), so label cardinality is bounded no matter
@@ -103,28 +108,20 @@ let error_type_of_status = function
   | 503 -> Some "overload"
   | _ -> Some "internal"
 
-(* Process-wide counters are plain mutable ints; with a multi-domain
-   accept loop their increments would race and drop. Request accounting
-   therefore serializes through one stats mutex — the critical sections
-   are a handful of integer bumps, invisible next to even a cached
-   request. *)
-let stats_lock = Mutex.create ()
-
 (* ----- per-worker accept loop stats -----
 
    Each accept worker registers itself here at spawn: its RED counters
    are labelled [{worker="k"}] and /statusz lists the workers with a
    last-activity heartbeat, making a wedged accept loop visible at a
-   glance. [w_connections] has the accept loop as its only writer;
-   [w_requests] and the heartbeat are bumped from every connection
-   domain attributed to the worker, so those go through [workers_lock]
-   to keep the plain-int counters exact. *)
+   glance. [workers_lock] guards only the table; the counters and the
+   heartbeat are atomic cells, bumped from every connection domain
+   attributed to the worker. *)
 
 type worker_stats = {
   w_id : int;
   w_requests : Obs.Metrics.Counter.t;
   w_connections : Obs.Metrics.Counter.t;
-  mutable w_last_beat : float;
+  w_last_beat : float Atomic.t;
 }
 
 let workers_tbl : (int, worker_stats) Hashtbl.t = Hashtbl.create 8
@@ -146,7 +143,7 @@ let worker_register k =
       w_connections =
         Obs.Metrics.counter_with "serve.worker.connections"
           [ ("worker", string_of_int k) ];
-      w_last_beat = Unix.gettimeofday ();
+      w_last_beat = Atomic.make (Unix.gettimeofday ());
     }
   in
   Mutex.protect workers_lock (fun () -> Hashtbl.replace workers_tbl k w);
@@ -156,9 +153,8 @@ let worker_register k =
 let worker_note_request () =
   match !(Domain.DLS.get current_worker) with
   | Some w ->
-    Mutex.protect workers_lock (fun () ->
-        Obs.Metrics.Counter.incr w.w_requests;
-        w.w_last_beat <- Unix.gettimeofday ())
+    Obs.Metrics.Counter.incr w.w_requests;
+    Atomic.set w.w_last_beat (Unix.gettimeofday ())
   | None -> ()
 
 let workers_list () =
@@ -191,7 +187,7 @@ let inflight_lock = Mutex.create ()
 let inflight_update f =
   Mutex.protect inflight_lock (fun () ->
       f inflight;
-      Obs.Metrics.Gauge.set (Lazy.force m_inflight)
+      Obs.Metrics.Gauge.set (m_inflight ())
         (float_of_int (Hashtbl.length inflight)))
 
 let inflight_add r = inflight_update (fun t -> Hashtbl.replace t r.trace_id r)
@@ -239,8 +235,8 @@ let cache_counts () =
     (Tpan.Artifact.cache_stats ())
 
 (* Per-request cache activity as the difference of the process-wide
-   counters around the request. Exact under the sequential listener;
-   approximate if handlers are driven concurrently from tests. *)
+   counters around the request. Approximate when connections overlap:
+   the delta then includes concurrent requests' hits and misses. *)
 let cache_delta before after =
   List.filter_map
     (fun (k, h1, m1) ->
@@ -278,8 +274,8 @@ module Admission = struct
   let turnstile = Condition.create ()
   let active = ref 0
   let waiting = ref 0
-  let m_queued = lazy (Obs.Metrics.counter "serve.admission.queued")
-  let m_rejected = lazy (Obs.Metrics.counter "serve.admission.rejected")
+  let m_queued () = Obs.Metrics.counter "serve.admission.queued"
+  let m_rejected () = Obs.Metrics.counter "serve.admission.rejected"
 
   let with_slot config f =
     match config.max_inflight with
@@ -289,14 +285,12 @@ module Admission = struct
       Mutex.lock lock;
       if !active >= limit && !waiting >= 2 * limit then begin
         Mutex.unlock lock;
-        Mutex.protect stats_lock (fun () ->
-            Obs.Metrics.Counter.incr (Lazy.force m_rejected));
+        Obs.Metrics.Counter.incr (m_rejected ());
         raise (Overloaded 1)
       end;
       if !active >= limit then begin
         incr waiting;
-        Mutex.protect stats_lock (fun () ->
-            Obs.Metrics.Counter.incr (Lazy.force m_queued));
+        Obs.Metrics.Counter.incr (m_queued ());
         while !active >= limit do
           Condition.wait turnstile lock
         done;
@@ -330,7 +324,7 @@ module Singleflight = struct
   let lock = Mutex.create ()
   let done_ = Condition.create ()
   let flights : (string, entry) Hashtbl.t = Hashtbl.create 8
-  let m_coalesced = lazy (Obs.Metrics.counter "serve.sweep.coalesced")
+  let m_coalesced () = Obs.Metrics.counter "serve.sweep.coalesced"
 
   let run key f =
     Mutex.lock lock;
@@ -364,8 +358,7 @@ module Singleflight = struct
       in
       let o = await () in
       Mutex.unlock lock;
-      Mutex.protect stats_lock (fun () ->
-          Obs.Metrics.Counter.incr (Lazy.force m_coalesced));
+      Obs.Metrics.Counter.incr (m_coalesced ());
       (match o with Done r -> r | Failed e -> raise e)
     | None ->
       let e = { outcome = None } in
@@ -657,7 +650,7 @@ let statusz_json () =
         J.Obj
           [
             ("total", J.Int (requests_total ()));
-            ("errors", J.Int (Obs.Metrics.Counter.value (Lazy.force m_errors)));
+            ("errors", J.Int (Obs.Metrics.Counter.value (m_errors ())));
             ("timeouts", J.Int (timeouts_total ()));
             ("inflight", J.Int (List.length infl));
           ] );
@@ -673,7 +666,7 @@ let statusz_json () =
                    ("requests", J.Int (Obs.Metrics.Counter.value w.w_requests));
                    ( "connections",
                      J.Int (Obs.Metrics.Counter.value w.w_connections) );
-                   ("idle_s", J.Float (now -. w.w_last_beat));
+                   ("idle_s", J.Float (now -. Atomic.get w.w_last_beat));
                  ])
              (workers_list ())) );
       ( "heartbeats",
@@ -714,7 +707,7 @@ let statusz_html () =
       (html_escape Tpan.Version.string)
       (Unix.getpid ()) (now -. start_time)
       (requests_total ())
-      (Obs.Metrics.Counter.value (Lazy.force m_errors))
+      (Obs.Metrics.Counter.value (m_errors ()))
       (timeouts_total ())
       (List.length infl)
   in
@@ -925,7 +918,7 @@ let handle config ~meth ~target ~body =
     }
   in
   let caches_before = Option.map (fun p -> (p, cache_counts ())) config.access_log in
-  Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (ep_requests endpoint));
+  Obs.Metrics.Counter.incr (ep_requests endpoint);
   inflight_add req;
   let resp =
     Obs.Context.with_ctx ctx (fun () ->
@@ -934,12 +927,11 @@ let handle config ~meth ~target ~body =
   req.status <- resp.status;
   req.dur <- Unix.gettimeofday () -. t0;
   inflight_remove req;
-  Mutex.protect stats_lock (fun () ->
-      if resp.status >= 400 then Obs.Metrics.Counter.incr (Lazy.force m_errors);
-      Obs.Metrics.Histogram.observe ~trace_id:req.trace_id (ep_latency endpoint) req.dur;
-      match error_type_of_status resp.status with
-      | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
-      | None -> ());
+  if resp.status >= 400 then Obs.Metrics.Counter.incr (m_errors ());
+  Obs.Metrics.Histogram.observe ~trace_id:req.trace_id (ep_latency endpoint) req.dur;
+  (match error_type_of_status resp.status with
+  | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
+  | None -> ());
   let slow =
     match config.slow_ms with Some ms -> req.dur *. 1000. >= ms | None -> false
   in
@@ -1008,7 +1000,7 @@ exception Conn_stalled of string
 
 exception Shutting_down
 
-let m_client_aborts = lazy (Obs.Metrics.counter "serve.client_aborts")
+let m_client_aborts () = Obs.Metrics.counter "serve.client_aborts"
 
 (* ----- shutdown plumbing: the self-pipe -----
 
@@ -1291,21 +1283,18 @@ let serve_connection config conn =
   try next 0 with
   | Shutting_down -> ()
   | Http_error (status, msg) ->
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_errors));
+    Obs.Metrics.Counter.incr (m_errors ());
     (try write_response config conn.fd (error_response status ~exit_code:2 msg) ~keep_alive:false
      with Client_gone _ -> ())
   | Conn_stalled what ->
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_errors));
+    Obs.Metrics.Counter.incr (m_errors ());
     (try
        write_response config conn.fd
          (error_response 408 ~exit_code:2 ("timed out reading " ^ what))
          ~keep_alive:false
      with Client_gone _ -> ())
   | Client_gone reason ->
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_client_aborts));
+    Obs.Metrics.Counter.incr (m_client_aborts ());
     Obs.Log.debug "serve: client gone" ~fields:[ ("reason", J.Str reason) ]
 
 (* ----- per-connection service domains -----
@@ -1326,8 +1315,8 @@ module Conns = struct
 
   let lock = Mutex.create ()
   let live : handle list ref = ref []
-  let m_active = lazy (Obs.Metrics.gauge "serve.conns.active")
-  let m_inline = lazy (Obs.Metrics.counter "serve.conns.inline_served")
+  let m_active () = Obs.Metrics.gauge "serve.conns.active"
+  let m_inline () = Obs.Metrics.counter "serve.conns.inline_served"
 
   (* [finished] flips in the domain's last finalizer, so a handle
      carrying it joins without blocking. *)
@@ -1338,7 +1327,7 @@ module Conns = struct
             List.partition (fun h -> Atomic.get h.finished) !live
           in
           live := rest;
-          Obs.Metrics.Gauge.set (Lazy.force m_active)
+          Obs.Metrics.Gauge.set (m_active ())
             (float_of_int (List.length rest));
           done_)
     in
@@ -1356,7 +1345,7 @@ module Conns = struct
           with
           | dom ->
             live := { dom; finished } :: !live;
-            Obs.Metrics.Gauge.set (Lazy.force m_active)
+            Obs.Metrics.Gauge.set (m_active ())
               (float_of_int (List.length !live));
             true
           | exception _ ->
@@ -1366,8 +1355,7 @@ module Conns = struct
         end)
 
   let note_inline () =
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_inline))
+    Obs.Metrics.Counter.incr (m_inline ())
 
   let drain () =
     let hs =
@@ -1377,7 +1365,7 @@ module Conns = struct
           hs)
     in
     List.iter (fun h -> Domain.join h.dom) hs;
-    Obs.Metrics.Gauge.set (Lazy.force m_active) 0.
+    Obs.Metrics.Gauge.set (m_active ()) 0.
 end
 
 (* ----- listeners and the accept plane ----- *)
@@ -1512,10 +1500,8 @@ let run ?(ready = fun _ -> ()) config =
         (match accept_once () with
         | None -> ()
         | Some fd ->
-          (* the accept loop is this counter's only writer *)
           Obs.Metrics.Counter.incr w.w_connections;
-          Mutex.protect workers_lock (fun () ->
-              w.w_last_beat <- Unix.gettimeofday ());
+          Atomic.set w.w_last_beat (Unix.gettimeofday ());
           (try Unix.setsockopt fd Unix.TCP_NODELAY true
            with Unix.Unix_error _ | Invalid_argument _ -> ());
           (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());

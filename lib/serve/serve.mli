@@ -37,7 +37,8 @@
     Optionally the server also writes an NDJSON {e access log} (one
     {!Tpan_obs.Log} record per request: trace id, method, path, status,
     exit code, latency, body sizes, net hash, per-artifact cache
-    hits/misses, deadline budget consumed), appends one run-ledger row
+    hits/misses — approximate when connections overlap — deadline
+    budget consumed), appends one run-ledger row
     per request (subcommand ["serve:<endpoint>"], so
     [tpan runs --stats] reports per-endpoint latency percentiles and
     exit codes), and snapshots a flight-recorder dump scoped to the

@@ -1,12 +1,13 @@
 (** Analysis artifacts as pure cached functions of canonical nets.
 
     This is the redesigned facade the ROADMAP's [tpan serve] item asks
-    for: every analysis product — the concrete timed reachability
-    graph, the symbolic graph with its solved rates, closed-form
-    throughput expressions, full analysis reports, simulation
-    summaries — is an {e artifact}: a schema-versioned value computed
-    by a pure function of a {!Canonical} net (plus the artifact's own
-    parameters), memoized in a keyed {!Tpan_cache.Cache}.
+    for: every analysis product — the symbolic graph with its solved
+    rates, closed-form throughput expressions, point evaluations, full
+    analysis reports — is an {e artifact}: a schema-versioned value
+    computed by a pure function of a {!Canonical} net (plus the
+    artifact's own parameters), memoized in a keyed
+    {!Tpan_cache.Cache}. Simulation summaries share the facade but are
+    not cached: a [tpan simulate] process asks for each summary once.
 
     Identical nets therefore hit the symbolic build {e exactly once}
     per process (and, with persistence configured, once per cache
@@ -23,8 +24,8 @@
     both front ends serve byte-identical results from one code path.
 
     Cache metrics land in the {!Tpan_obs.Metrics} registry under
-    [cache.trg.*], [cache.symbolic.*], [cache.closed_form.*],
-    [cache.report.*], [cache.sim.*]. *)
+    [cache.symbolic.*], [cache.closed_form.*], [cache.eval.*],
+    [cache.report.*]. *)
 
 module Q = Tpan_mathkit.Q
 
@@ -34,8 +35,7 @@ val artifact_schema : int
 val configure : ?budget_bytes:int -> ?persist_dir:string -> unit -> unit
 (** Set the per-cache byte budget (default 128 MiB) and the persistence
     directory (e.g. [".tpan/cache"]) for the artifact kinds with a
-    codec — closed forms, point evaluations, concrete TRGs and analysis
-    reports. Omitting [persist_dir] turns persistence off (the setting
+    codec — closed forms, point evaluations and analysis reports. Omitting [persist_dir] turns persistence off (the setting
     is replaced, not merged). Resets existing caches — call at startup,
     before the first artifact request. *)
 
@@ -44,19 +44,12 @@ val reset_caches : unit -> unit
     harness uses this to measure genuinely-uncached builds. *)
 
 val cache_stats : unit -> (string * Tpan_cache.Cache.stats) list
-(** Live [(kind, stats)] per artifact cache — ["trg"], ["symbolic"],
-    ["closed_form"], ["eval"], ["report"], ["sim"] — for a server's
+(** Live [(kind, stats)] per artifact cache — ["symbolic"],
+    ["closed_form"], ["eval"], ["report"] — for a server's
     [/statusz] page. Empty if no artifact has been requested yet (the
     caches are created lazily and this never forces them). *)
 
 (** {1 Graph artifacts} *)
-
-val concrete_trg :
-  ?max_states:int ->
-  Canonical.t ->
-  (Tpan_core.Concrete.Graph.graph, Error.t) result
-(** The concrete timed reachability graph, cached per
-    [(hash, max_states)]. *)
 
 val symbolic :
   ?max_states:int ->
@@ -136,11 +129,8 @@ val simulate :
   transitions:string list ->
   Canonical.t ->
   (sim_summary, Error.t) result
-(** Monte-Carlo summary, cached per
-    [(hash, seed, runs, horizon, transitions)] — simulation is
-    deterministic in the seed, so the summary is a pure function of
-    its key. Replications fan out over the worker pool exactly as
-    before. *)
+(** Monte-Carlo summary, deterministic in the seed. Not cached.
+    Replications fan out over the worker pool. *)
 
 val sim_summary_fields : sim_summary -> (string * Tpan_obs.Jsonv.t) list
 (** Envelope-free payload fields (the CLI and server wrap them). *)
@@ -149,8 +139,7 @@ val sim_summary_fields : sim_summary -> (string * Tpan_obs.Jsonv.t) list
 
 val warm : ?max_states:int -> string list -> (string * (unit, Error.t) result) list
 (** [warm names] pre-builds the expensive artifacts for each builtin
-    model named: the full analysis report and concrete TRG for concrete
-    models, the closed-form throughput of every default delivery for
+    model named: the full analysis report for concrete models, the closed-form throughput of every default delivery for
     symbolic ones. Served traffic then starts on a hot cache — and with
     a persistence directory configured, the first process to warm also
     seeds the cache files every later process replays. Returns one

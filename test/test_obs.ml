@@ -457,18 +457,55 @@ let test_log_ndjson_sink () =
       (Option.bind (Option.bind (J.member "fields" doc) (J.member "file")) J.to_string_opt)
   | Error e -> Alcotest.fail ("ndjson line does not parse: " ^ e)
 
-let test_log_local_buffer () =
-  let seen = ref [] in
-  Log.set_sinks [ (Log.Debug, fun r -> seen := r :: !seen) ];
-  Log.Local.install ();
-  Log.info "buffered";
-  Alcotest.(check int) "buffered records bypass the sinks" 0 (List.length !seen);
-  let records = Log.Local.collect () in
-  Alcotest.(check int) "collect returns the buffer" 1 (List.length records);
-  Log.flush_records records;
+(* Plain domains, not pool workers, like the server's connection
+   domains: each writes the shared cells directly. *)
+let on_domains k f =
+  List.iter Domain.join (List.init k (fun d -> Domain.spawn (fun () -> f d)))
+
+let test_cross_domain_metrics () =
+  let n = 50_000 in
+  let c = Metrics.counter "test_obs.xdomain.c" in
+  let h = Metrics.histogram "test_obs.xdomain.h" in
+  Metrics.Counter.reset c;
+  Metrics.Histogram.reset h;
+  on_domains 4 (fun _ ->
+      for _ = 1 to n do
+        Metrics.Counter.incr c;
+        Metrics.Histogram.observe h 0.001
+      done);
+  Alcotest.(check int) "no increment lost" (4 * n) (Metrics.Counter.value c);
+  Alcotest.(check int) "no observation lost" (4 * n) (Metrics.Histogram.count h);
+  match Metrics.find "test_obs.xdomain.h" with
+  | Some (Metrics.Histogram_v v) ->
+    let inf = List.nth v.buckets (List.length v.buckets - 1) in
+    Alcotest.(check int) "+Inf bucket agrees with the count" (4 * n)
+      inf.Metrics.cumulative
+  | _ -> Alcotest.fail "histogram not registered"
+
+let test_cross_domain_log () =
+  let n = 5_000 in
+  let path = Filename.temp_file "tpan_log" ".ndjson" in
+  let oc = open_out path in
+  (* the counting sink has no lock of its own: dispatch must supply it *)
+  let seen = ref 0 in
+  Log.set_sinks [ (Log.Debug, Log.ndjson_sink oc); (Log.Debug, fun _ -> incr seen) ];
+  on_domains 4 (fun d ->
+      for i = 1 to n do
+        Log.info "xdomain" ~fields:[ ("domain", J.Int d); ("i", J.Int i) ]
+      done);
   Log.set_sinks [];
-  Alcotest.(check int) "flush replays through the sinks" 1 (List.length !seen);
-  Alcotest.(check string) "record intact" "buffered" (List.hd !seen).Log.msg
+  close_out oc;
+  let ic = open_in path in
+  let rec lines acc =
+    match input_line ic with l -> lines (l :: acc) | exception End_of_file -> acc
+  in
+  let lines = lines [] in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check int) "one line per record" (4 * n) (List.length lines);
+  Alcotest.(check int) "every line parses" 0
+    (List.length (List.filter (fun l -> Result.is_error (J.of_string l)) lines));
+  Alcotest.(check int) "every record reached every sink" (4 * n) !seen
 
 let test_trace_lanes () =
   Trace.set_enabled true;
@@ -531,6 +568,8 @@ let suite =
       Alcotest.test_case "snapshot filtering" `Quick test_snapshot_filtering;
       Alcotest.test_case "log sinks & levels" `Quick test_log_sinks;
       Alcotest.test_case "log ndjson sink" `Quick test_log_ndjson_sink;
-      Alcotest.test_case "log local buffers" `Quick test_log_local_buffer;
+      Alcotest.test_case "metrics from concurrent domains" `Quick
+        test_cross_domain_metrics;
+      Alcotest.test_case "log from concurrent domains" `Quick test_cross_domain_log;
       Alcotest.test_case "trace lanes" `Quick test_trace_lanes;
     ] )
