@@ -1,52 +1,81 @@
-(* Sign-magnitude bignums over 15-bit limbs (little-endian int arrays).
+(* Signed integers in two representations. Word-sized values are immediate
+   native ints; larger ones are sign-magnitude bignums over 15-bit limbs
+   (little-endian int arrays).
 
    Base 2^15 is chosen so that limb products (< 2^30) plus carries stay far
    below the 62-bit overflow boundary, which lets the Knuth algorithm-D
-   quotient estimation below work with plain [int] arithmetic. *)
+   quotient estimation below work with plain [int] arithmetic.
+
+   Canonical form: a value is [Small] if and only if its magnitude is below
+   2^60, i.e. fits in at most four limbs. Every limb-path result goes back
+   through [of_mag], so structural equality is value equality and a
+   [Small] operand never meets a [Big] of the same magnitude. *)
 
 let base_bits = 15
 let base = 1 lsl base_bits
 let mask = base - 1
 
-type t = { sign : int; mag : int array }
-(* Invariants: [sign] is -1, 0 or 1; [sign = 0] iff [mag = [||]];
-   the most significant limb [mag.(len-1)] is non-zero. *)
+let small_limbs = 4
+let small_bound = 1 lsl (small_limbs * base_bits)
 
-let zero = { sign = 0; mag = [||] }
+type t = Small of int | Big of { sign : int; mag : int array }
+(* Invariants of [Big]: [sign] is -1 or 1; the most significant limb
+   [mag.(len-1)] is non-zero; [len > small_limbs]. *)
 
-(* Strip high zero limbs and normalize the sign of a raw magnitude. *)
-let make sign mag =
+let zero = Small 0
+let one = Small 1
+let minus_one = Small (-1)
+
+let fits n = n > -small_bound && n < small_bound
+
+(* Limbs of a non-negative native int, or of [min_int]'s magnitude 2^62,
+   whose two's-complement bit pattern logical shifts read directly. *)
+let mag_of_nat n =
+  let rec count k n = if n = 0 then k else count (k + 1) (n lsr base_bits) in
+  let out = Array.make (count 0 n) 0 in
+  let n = ref n in
+  for i = 0 to Array.length out - 1 do
+    out.(i) <- !n land mask;
+    n := !n lsr base_bits
+  done;
+  out
+
+let strip mag =
   let n = Array.length mag in
   let rec top i = if i >= 0 && mag.(i) = 0 then top (i - 1) else i in
   let hi = top (n - 1) in
-  if hi < 0 then zero
-  else if hi = n - 1 then { sign; mag }
-  else { sign; mag = Array.sub mag 0 (hi + 1) }
+  if hi = n - 1 then mag else Array.sub mag 0 (hi + 1)
 
-let of_int n =
-  if n = 0 then zero
+(* The canonical value of a sign and a raw magnitude. *)
+let of_mag sign mag =
+  let mag = strip mag in
+  let n = Array.length mag in
+  if n > small_limbs then Big { sign; mag }
   else begin
-    let sign = if n < 0 then -1 else 1 in
-    (* min_int negation overflows; peel one limb first. *)
-    let rec limbs acc n = if n = 0 then List.rev acc else limbs ((n land mask) :: acc) (n lsr base_bits) in
-    let m =
-      if n <> min_int then limbs [] (Stdlib.abs n)
-      else
-        (* |min_int| = 2^62: its two's-complement bit pattern is already the
-           magnitude, so logical shifts extract the limbs directly. *)
-        let low = n land mask in
-        low :: limbs [] (n lsr base_bits)
-    in
-    make sign (Array.of_list m)
+    let v = ref 0 in
+    for i = n - 1 downto 0 do v := (!v lsl base_bits) lor mag.(i) done;
+    Small (sign * !v)
   end
 
-let one = of_int 1
-let minus_one = of_int (-1)
+let of_int n =
+  if fits n then Small n
+  else if n > 0 then Big { sign = 1; mag = mag_of_nat n }
+  else Big { sign = -1; mag = mag_of_nat (if n = min_int then n else -n) }
 
-let is_zero a = a.sign = 0
-let sign a = a.sign
-let neg a = if a.sign = 0 then a else { a with sign = -a.sign }
-let abs a = if a.sign < 0 then neg a else a
+(* Sign and limbs of any value, for the limb path. *)
+let view = function
+  | Small n -> (Stdlib.compare n 0, mag_of_nat (Stdlib.abs n))
+  | Big { sign; mag } -> (sign, mag)
+
+let is_zero = function Small n -> n = 0 | Big _ -> false
+let is_one = function Small n -> n = 1 | Big _ -> false
+let sign = function Small n -> Stdlib.compare n 0 | Big { sign; _ } -> sign
+
+let neg = function
+  | Small n -> Small (-n)
+  | Big { sign; mag } -> Big { sign = -sign; mag }
+
+let abs a = if sign a < 0 then neg a else a
 
 let cmp_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -56,15 +85,29 @@ let cmp_mag a b =
     go (la - 1)
   end
 
+(* A [Big] magnitude exceeds every [Small] one, so mixed pairs are decided
+   by the [Big] side's sign. *)
 let compare a b =
-  if a.sign <> b.sign then Stdlib.compare a.sign b.sign
-  else if a.sign = 0 then 0
-  else a.sign * cmp_mag a.mag b.mag
+  match (a, b) with
+  | Small x, Small y -> Int.compare x y
+  | Small _, Big { sign; _ } -> -sign
+  | Big { sign; _ }, Small _ -> sign
+  | Big a, Big b ->
+    if a.sign <> b.sign then Int.compare a.sign b.sign else a.sign * cmp_mag a.mag b.mag
 
-let equal a b = compare a b = 0
+let equal a b =
+  match (a, b) with
+  | Small x, Small y -> x = y
+  | Big _, Big _ -> compare a b = 0
+  | _ -> false
 
-let hash a =
-  Array.fold_left (fun acc limb -> (acc * 31) + limb) (a.sign + 2) a.mag land max_int
+(* The hash is a fold over the limbs, least significant first; [Small]
+   values run the same fold on their limbs without materialising them. *)
+let hash = function
+  | Small n ->
+    let rec go acc m = if m = 0 then acc else go ((acc * 31) + (m land mask)) (m lsr base_bits) in
+    go (Stdlib.compare n 0 + 2) (Stdlib.abs n) land max_int
+  | Big { sign; mag } -> Array.fold_left (fun acc limb -> (acc * 31) + limb) (sign + 2) mag land max_int
 
 let add_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -93,18 +136,24 @@ let sub_mag a b =
   done;
   out
 
-let add a b =
-  if a.sign = 0 then b
-  else if b.sign = 0 then a
-  else if a.sign = b.sign then make a.sign (add_mag a.mag b.mag)
+let add_limbs a b =
+  if is_zero a then b
+  else if is_zero b then a
   else begin
-    let c = cmp_mag a.mag b.mag in
-    if c = 0 then zero
-    else if c > 0 then make a.sign (sub_mag a.mag b.mag)
-    else make b.sign (sub_mag b.mag a.mag)
+    let sa, ma = view a and sb, mb = view b in
+    if sa = sb then of_mag sa (add_mag ma mb)
+    else begin
+      let c = cmp_mag ma mb in
+      if c = 0 then zero
+      else if c > 0 then of_mag sa (sub_mag ma mb)
+      else of_mag sb (sub_mag mb ma)
+    end
   end
 
-let sub a b = add a (neg b)
+(* Two [Small] summands are below 2^60 each, so their native sum cannot
+   overflow; [of_int] moves a sum of 2^60 or more to limbs. *)
+let add a b = match (a, b) with Small x, Small y -> of_int (x + y) | _ -> add_limbs a b
+let sub a b = match (a, b) with Small x, Small y -> of_int (x - y) | _ -> add_limbs a (neg b)
 
 let mul_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -123,8 +172,19 @@ let mul_mag a b =
   done;
   out
 
+let half_bound = 1 lsl (small_limbs * base_bits / 2)
+
+(* Factors below 2^30 multiply natively into a [Small] product. *)
 let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero else make (a.sign * b.sign) (mul_mag a.mag b.mag)
+  match (a, b) with
+  | Small x, Small y when x > -half_bound && x < half_bound && y > -half_bound && y < half_bound ->
+    Small (x * y)
+  | _ ->
+    if is_zero a || is_zero b then zero
+    else begin
+      let sa, ma = view a and sb, mb = view b in
+      of_mag (sa * sb) (mul_mag ma mb)
+    end
 
 (* Divide magnitude by a single limb; returns (quotient, remainder limb). *)
 let divmod_small_mag a d =
@@ -228,30 +288,37 @@ let divmod_knuth a b =
   let r = shr (Array.sub u 0 n) shift in
   (q, r)
 
+(* Native [/] and [mod] truncate toward zero, which is this module's
+   contract too. A [Small] dividend is below any [Big] divisor. *)
 let divmod a b =
-  if b.sign = 0 then raise Division_by_zero;
-  if a.sign = 0 then (zero, zero)
-  else if cmp_mag a.mag b.mag < 0 then (zero, a)
-  else begin
-    let qmag, rmag =
-      if Array.length b.mag = 1 then begin
-        let q, r = divmod_small_mag a.mag b.mag.(0) in
-        (q, [| r |])
-      end
-      else divmod_knuth a.mag b.mag
-    in
-    let q = make (a.sign * b.sign) qmag in
-    let r = make a.sign rmag in
-    (q, r)
-  end
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y -> (Small (x / y), Small (x mod y))
+  | Small _, Big _ -> (zero, a)
+  | Big _, _ ->
+    let sa, ma = view a and sb, mb = view b in
+    if cmp_mag ma mb < 0 then (zero, a)
+    else begin
+      let qmag, rmag =
+        if Array.length mb = 1 then begin
+          let q, r = divmod_small_mag ma mb.(0) in
+          (q, [| r |])
+        end
+        else divmod_knuth ma mb
+      in
+      (of_mag (sa * sb) qmag, of_mag sa rmag)
+    end
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
-let rec gcd_loop a b = if is_zero b then a else gcd_loop b (rem a b)
-let gcd a b = gcd_loop (abs a) (abs b)
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
-let is_one a = a.sign = 1 && Array.length a.mag = 1 && a.mag.(0) = 1
+(* Euclid through the limbs until both sides are [Small], then natively. *)
+let rec gcd a b =
+  match (a, b) with
+  | Small x, Small y -> Small (gcd_int (Stdlib.abs x) (Stdlib.abs y))
+  | _ -> if is_zero b then abs a else gcd b (rem a b)
 
 let pow b n =
   if n < 0 then invalid_arg "Bigint.pow: negative exponent";
@@ -264,45 +331,71 @@ let pow b n =
   in
   go one b n
 
-let to_int_opt a =
-  (* Accumulate negatively so that [min_int] (whose magnitude exceeds
-     [max_int]) is still representable. *)
-  let floor_limit = min_int asr base_bits in
-  let rec go acc i =
-    if i < 0 then Some acc
-    else if acc < floor_limit || (acc = floor_limit && a.mag.(i) > 0) then None
-    else go ((acc lsl base_bits) - a.mag.(i)) (i - 1)
-  in
-  if a.sign = 0 then Some 0
-  else
-    match go 0 (Array.length a.mag - 1) with
-    | None -> None
-    | Some m -> if a.sign < 0 then Some m else if m = min_int then None else Some (-m)
+let numbits =
+  let rec bits k m = if m = 0 then k else bits (k + 1) (m lsr 1) in
+  function
+  | Small n -> bits 0 (Stdlib.abs n)
+  | Big { mag; _ } ->
+    let n = Array.length mag in
+    bits ((n - 1) * base_bits) mag.(n - 1)
 
-let to_float a =
-  let v = Array.fold_right (fun limb acc -> (acc *. float_of_int base) +. float_of_int limb) a.mag 0. in
-  if a.sign < 0 then -.v else v
+let shift_right a s =
+  if s < 0 then invalid_arg "Bigint.shift_right: negative shift";
+  match a with
+  | Small n ->
+    let m = if s >= small_limbs * base_bits then 0 else Stdlib.abs n lsr s in
+    Small (if n < 0 then -m else m)
+  | Big { sign; mag } ->
+    let limbs = s / base_bits and bits = s mod base_bits in
+    let len = Array.length mag in
+    if limbs >= len then zero
+    else
+      of_mag sign
+        (Array.init (len - limbs) (fun i ->
+             let hi = if i + limbs + 1 < len then (mag.(i + limbs + 1) lsl (base_bits - bits)) land mask else 0 in
+             (mag.(i + limbs) lsr bits) lor hi))
 
-let to_string a =
-  if a.sign = 0 then "0"
-  else begin
+let to_int_opt = function
+  | Small n -> Some n
+  | Big { sign; mag } ->
+    (* Accumulate negatively so that [min_int] (whose magnitude exceeds
+       [max_int]) is still representable. *)
+    let floor_limit = min_int asr base_bits in
+    let rec go acc i =
+      if i < 0 then Some acc
+      else if acc < floor_limit || (acc = floor_limit && mag.(i) > 0) then None
+      else go ((acc lsl base_bits) - mag.(i)) (i - 1)
+    in
+    (match go 0 (Array.length mag - 1) with
+     | None -> None
+     | Some m -> if sign < 0 then Some m else if m = min_int then None else Some (-m))
+
+(* For a [Small] value the limb fold below is exact up to its last
+   addition, so it rounds once, exactly as [float_of_int] does. *)
+let to_float = function
+  | Small n -> float_of_int n
+  | Big { sign; mag } ->
+    let v = Array.fold_right (fun limb acc -> (acc *. float_of_int base) +. float_of_int limb) mag 0. in
+    if sign < 0 then -.v else v
+
+let to_string = function
+  | Small n -> string_of_int n
+  | Big { sign; mag } ->
     let chunks = ref [] in
-    let m = ref a.mag in
-    while Array.length !m > 0 && not (Array.for_all (fun x -> x = 0) !m) do
+    let m = ref mag in
+    while Array.length !m > 0 do
       let q, r = divmod_small_mag !m 10000 in
       chunks := r :: !chunks;
-      let q = make 1 q in
-      m := q.mag
+      m := strip q
     done;
     let buf = Buffer.create 16 in
-    if a.sign < 0 then Buffer.add_char buf '-';
+    if sign < 0 then Buffer.add_char buf '-';
     (match !chunks with
      | [] -> Buffer.add_char buf '0'
      | first :: rest ->
        Buffer.add_string buf (string_of_int first);
        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%04d" c)) rest);
     Buffer.contents buf
-  end
 
 let of_string s =
   let n = String.length s in

@@ -1,9 +1,16 @@
 (** Arbitrary-precision signed integers.
 
     Self-contained replacement for [zarith] (not available in this
-    environment). Magnitudes are little-endian arrays of 15-bit limbs, which
-    keeps every intermediate of schoolbook multiplication and Knuth
-    algorithm-D division comfortably inside a 63-bit native [int].
+    environment). A value whose magnitude is below 2^60 is an immediate
+    native [int]; arithmetic on two such values runs natively whenever the
+    result cannot overflow (sums and differences always, products of
+    factors below 2^30, quotients, remainders and gcds always). Larger
+    values are little-endian arrays of 15-bit limbs, which keeps every
+    intermediate of schoolbook multiplication and Knuth algorithm-D
+    division comfortably inside a 63-bit native [int]. The split is
+    invisible: every result below 2^60 comes back immediate, so each
+    integer has exactly one representation, and [hash], [to_string] and
+    [to_float] agree across it.
 
     Values are immutable; all functions are pure. *)
 
@@ -53,6 +60,13 @@ val pow : t -> int -> t
 
 val is_zero : t -> bool
 val is_one : t -> bool
+
+val numbits : t -> int
+(** Bit length of the magnitude; [numbits zero = 0]. *)
+
+val shift_right : t -> int -> t
+(** [shift_right a s] is [a / 2^s], truncated toward zero like {!div}.
+    @raise Invalid_argument on a negative shift. *)
 
 val to_float : t -> float
 

@@ -8,8 +8,11 @@ let make n d =
   if B.is_zero n then { n = B.zero; d = B.one }
   else begin
     let n, d = if B.sign d < 0 then (B.neg n, B.neg d) else (n, d) in
-    let g = B.gcd n d in
-    if B.is_one g then { n; d } else { n = B.div n g; d = B.div d g }
+    if B.is_one d then { n; d }
+    else begin
+      let g = B.gcd n d in
+      if B.is_one g then { n; d } else { n = B.div n g; d = B.div d g }
+    end
   end
 
 let zero = { n = B.zero; d = B.one }
@@ -41,14 +44,29 @@ let inv q =
 
 let div a b = mul a (inv b)
 
-let compare a b = B.compare (B.mul a.n b.d) (B.mul b.n a.d)
+let compare a b =
+  if B.equal a.d b.d then B.compare a.n b.n else B.compare (B.mul a.n b.d) (B.mul b.n a.d)
 let equal a b = B.equal a.n b.n && B.equal a.d b.d
 let hash q = (B.hash q.n * 65599) + B.hash q.d
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
-let to_float q = B.to_float q.n /. B.to_float q.d
+(* Halves that both convert to finite floats divide directly. Otherwise
+   (numerator or denominator beyond 2^1024) each half is cut to its top 62
+   bits, and the quotient of the two is scaled back by the exponent
+   difference: that keeps [(2^1100+1)/2^1100] at 1 rather than inf/inf. *)
+let to_float q =
+  let fn = B.to_float q.n and fd = B.to_float q.d in
+  if Float.is_finite fn && Float.is_finite fd then fn /. fd
+  else begin
+    let top x =
+      let k = Stdlib.max 0 (B.numbits x - 62) in
+      (B.to_float (B.shift_right x k), k)
+    in
+    let mn, kn = top q.n and md, kd = top q.d in
+    Float.ldexp (mn /. md) (kn - kd)
+  end
 
 let to_string q =
   if B.is_one q.d then B.to_string q.n

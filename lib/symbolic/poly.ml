@@ -1,16 +1,20 @@
 module Q = Tpan_mathkit.Q
 
 (* Monomials: sorted (var id, exponent>0) lists, ordered by degree-lex.
-   Deglex is multiplicative, which the exact-division loop relies on. *)
+   Deglex is multiplicative, which the exact-division loop relies on. The
+   key carries its total degree, so the map order compares two ints before
+   it walks any list. *)
 module Monomial = struct
-  type t = (int * int) list
+  (* The list functions below are annotated with [vars] so that [<] on ids
+     and exponents compiles to int comparison; left polymorphic it would be
+     the generic compare, which costs as much as the degree field saves. *)
+  type vars = (int * int) list
+  type t = { deg : int; m : vars }
 
-  let one : t = []
-
-  let degree (m : t) = List.fold_left (fun acc (_, e) -> acc + e) 0 m
+  let one = { deg = 0; m = [] }
 
   (* Lex with smaller var ids more significant; higher exponent first. *)
-  let rec lex (a : t) (b : t) =
+  let rec lex (a : vars) (b : vars) =
     match (a, b) with
     | [], [] -> 0
     | [], _ -> -1
@@ -22,30 +26,41 @@ module Monomial = struct
       else lex ra rb
 
   let compare a b =
-    let c = Stdlib.compare (degree a) (degree b) in
-    if c <> 0 then c else lex a b
+    let c = Int.compare a.deg b.deg in
+    if c <> 0 then c else lex a.m b.m
 
-  let rec mul (a : t) (b : t) : t =
+  let is_one a = a.deg = 0
+
+  let rec mul_list (a : vars) (b : vars) : vars =
     match (a, b) with
     | [], m | m, [] -> m
     | (va, ea) :: ra, (vb, eb) :: rb ->
-      if va < vb then (va, ea) :: mul ra b
-      else if va > vb then (vb, eb) :: mul a rb
-      else (va, ea + eb) :: mul ra rb
+      if va < vb then (va, ea) :: mul_list ra b
+      else if va > vb then (vb, eb) :: mul_list a rb
+      else (va, ea + eb) :: mul_list ra rb
 
-  (* [div a b] is [Some m] with [a = m·b] when [b] divides [a]. *)
-  let rec div (a : t) (b : t) : t option =
+  let mul a b =
+    if a.deg = 0 then b else if b.deg = 0 then a else { deg = a.deg + b.deg; m = mul_list a.m b.m }
+
+  let rec div_list (a : vars) (b : vars) : vars option =
     match (a, b) with
     | m, [] -> Some m
     | [], _ :: _ -> None
     | (va, ea) :: ra, (vb, eb) :: rb ->
-      if va < vb then Option.map (fun m -> (va, ea) :: m) (div ra b)
+      if va < vb then Option.map (fun m -> (va, ea) :: m) (div_list ra b)
       else if va > vb then None
       else if ea < eb then None
-      else if ea = eb then div ra rb
-      else Option.map (fun m -> (va, ea - eb) :: m) (div ra rb)
+      else if ea = eb then div_list ra rb
+      else Option.map (fun m -> (va, ea - eb) :: m) (div_list ra rb)
 
-  let vars (m : t) = List.map fst m
+  (* [div a b] is [Some m] with [a = m·b] when [b] divides [a]. *)
+  let div a b =
+    if b.deg = 0 then Some a
+    else if a.deg < b.deg then None
+    else if a.deg = b.deg then if lex a.m b.m = 0 then Some one else None
+    else Option.map (fun m -> { deg = a.deg - b.deg; m }) (div_list a.m b.m)
+
+  let vars a = List.map fst a.m
 end
 
 module MMap = Map.Make (Monomial)
@@ -59,7 +74,7 @@ type t = { terms : Q.t MMap.t; hkey : int }
 let raw_hash terms =
   MMap.fold
     (fun m c acc ->
-      let mh = List.fold_left (fun h (v, e) -> (h * 31) + (v * 17) + e) 7 m in
+      let mh = List.fold_left (fun h (v, e) -> (h * 31) + (v * 17) + e) 7 m.Monomial.m in
       acc + (mh * 131) + Q.hash c)
     terms 0
 
@@ -80,7 +95,7 @@ let zero : t = intern MMap.empty
 let const q : t = if Q.is_zero q then zero else intern (MMap.singleton Monomial.one q)
 let one = const Q.one
 let of_int i = const (Q.of_int i)
-let var v : t = intern (MMap.singleton [ (Var.id v, 1) ] Q.one)
+let var v : t = intern (MMap.singleton { Monomial.deg = 1; m = [ (Var.id v, 1) ] } Q.one)
 
 let is_zero p = MMap.is_empty p.terms
 
@@ -140,14 +155,14 @@ let of_linexpr e =
     (const (Linexpr.constant e))
     (Linexpr.terms e)
 
-let is_const p = MMap.for_all (fun m _ -> m = Monomial.one) p.terms
+let is_const p = MMap.for_all (fun m _ -> Monomial.is_one m) p.terms
 
 let to_q_opt p =
   if is_zero p then Some Q.zero
   else if is_const p then MMap.find_opt Monomial.one p.terms
   else None
 
-let degree p = MMap.fold (fun m _ acc -> Stdlib.max acc (Monomial.degree m)) p.terms (-1)
+let degree p = MMap.fold (fun m _ acc -> Stdlib.max acc m.Monomial.deg) p.terms (-1)
 
 let size p = MMap.cardinal p.terms
 
@@ -169,7 +184,7 @@ let eval env (p : t) =
             let x = env (Var.of_id vid) in
             let rec qpow b n = if n = 0 then Q.one else Q.mul b (qpow b (n - 1)) in
             Q.mul acc (qpow x e))
-          c m
+          c m.Monomial.m
       in
       Q.add acc v)
     p.terms Q.zero
@@ -183,27 +198,33 @@ let subst f (p : t) =
             let v = Var.of_id vid in
             let base = match f v with None -> var v | Some p' -> p' in
             mul acc (pow base e))
-          (const c) m
+          (const c) m.Monomial.m
       in
       add acc term)
     p.terms zero
 
 let fold f (p : t) init =
-  MMap.fold (fun m c acc -> f (List.map (fun (vid, e) -> (Var.of_id vid, e)) m) c acc) p.terms init
+  MMap.fold
+    (fun m c acc -> f (List.map (fun (vid, e) -> (Var.of_id vid, e)) m.Monomial.m) c acc)
+    p.terms init
 
 let derivative v (p : t) =
   let vid = Var.id v in
   intern
     (MMap.fold
        (fun m c acc ->
-         match List.assoc_opt vid m with
+         match List.assoc_opt vid m.Monomial.m with
          | None -> acc
          | Some e ->
            let m' =
-             List.filter_map
-               (fun (u, k) ->
-                 if u = vid then (if k = 1 then None else Some (u, k - 1)) else Some (u, k))
-               m
+             {
+               Monomial.deg = m.deg - 1;
+               m =
+                 List.filter_map
+                   (fun (u, k) ->
+                     if u = vid then (if k = 1 then None else Some (u, k - 1)) else Some (u, k))
+                   m.m;
+             }
            in
            MMap.update m'
              (function
@@ -259,20 +280,22 @@ let compare (a : t) (b : t) = if a == b then 0 else MMap.compare Q.compare a.ter
 let to_univar vid (p : t) : t array =
   let deg =
     MMap.fold
-      (fun m _ acc -> Stdlib.max acc (Option.value ~default:0 (List.assoc_opt vid m)))
+      (fun m _ acc -> Stdlib.max acc (Option.value ~default:0 (List.assoc_opt vid m.Monomial.m)))
       p.terms 0
   in
   let out = Array.make (deg + 1) MMap.empty in
   MMap.iter
     (fun m c ->
-      let e = Option.value ~default:0 (List.assoc_opt vid m) in
-      let m' = List.filter (fun (u, _) -> u <> vid) m in
+      let e = Option.value ~default:0 (List.assoc_opt vid m.Monomial.m) in
+      let m' = { Monomial.deg = m.deg - e; m = List.filter (fun (u, _) -> u <> vid) m.m } in
       out.(e) <- MMap.add m' c out.(e))
     p.terms;
   Array.map intern out
 
 let from_univar vid (coeffs : t array) : t =
-  let v_pow e : t = if e = 0 then one else intern (MMap.singleton [ (vid, e) ] Q.one) in
+  let v_pow e : t =
+    if e = 0 then one else intern (MMap.singleton { Monomial.deg = e; m = [ (vid, e) ] } Q.one)
+  in
   Array.to_seq coeffs
   |> Seq.fold_lefti (fun acc e c -> add acc (mul c (v_pow e))) zero
 
@@ -292,7 +315,7 @@ let rec gcd (a : t) (b : t) : t =
         let min_var p =
           MMap.fold
             (fun m _ acc ->
-              List.fold_left (fun acc (u, _) -> Stdlib.min acc u) acc m)
+              List.fold_left (fun acc (u, _) -> Stdlib.min acc u) acc m.Monomial.m)
             p.terms max_int
         in
         Stdlib.min (min_var a) (min_var b)
@@ -379,9 +402,9 @@ let pp fmt p =
               pr_first := false;
               Format.pp_print_string fmt (Var.name (Var.of_id vid));
               if e > 1 then Format.fprintf fmt "^%d" e)
-            m
+            m.Monomial.m
         in
-        if m = Monomial.one then Q.pp fmt mag
+        if Monomial.is_one m then Q.pp fmt mag
         else if Q.equal mag Q.one then pp_mono fmt m
         else Format.fprintf fmt "%a*%a" Q.pp mag pp_mono m)
       terms

@@ -1,6 +1,7 @@
 (* Unit and property tests for Tpan_mathkit.Bigint. *)
 
 module B = Tpan_mathkit.Bigint
+module Q = Tpan_mathkit.Q
 
 let b = Alcotest.testable B.pp B.equal
 
@@ -10,7 +11,8 @@ let test_of_int_roundtrip () =
   List.iter
     (fun n ->
       Alcotest.(check (option int)) (string_of_int n) (Some n) (B.to_int_opt (B.of_int n)))
-    [ 0; 1; -1; 42; -42; 32767; 32768; -32768; 1 lsl 40; -(1 lsl 40); max_int; min_int ]
+    [ 0; 1; -1; 42; -42; 32767; 32768; -32768; 1 lsl 40; -(1 lsl 40); max_int; min_int;
+      (1 lsl 60) - 1; 1 - (1 lsl 60); 1 lsl 60; -(1 lsl 60); (1 lsl 60) + 1; -(1 lsl 60) - 1 ]
 
 let test_to_string () =
   Alcotest.(check string) "zero" "0" (B.to_string B.zero);
@@ -86,6 +88,89 @@ let test_to_float () =
   Alcotest.(check (float 1e-9)) "small" 42.0 (B.to_float (B.of_int 42));
   Alcotest.(check (float 1e6)) "2^70" (Float.pow 2. 70.) (B.to_float (B.pow (B.of_int 2) 70))
 
+(* Values below 2^60 in magnitude are immediate ints, larger ones limbs;
+   these cases sit on either side of that split and of the 2^30 bound for
+   native products. *)
+
+let p2 k = B.pow (B.of_int 2) k
+
+let test_repr_boundaries () =
+  let s60 = 1 lsl 60 in
+  List.iter
+    (fun n ->
+      Alcotest.(check string) ("to_string " ^ string_of_int n) (string_of_int n) (B.to_string (B.of_int n));
+      check_b ("of_string " ^ string_of_int n) (B.of_int n) (B.of_string (string_of_int n)))
+    [ s60 - 1; -(s60 - 1); s60; -s60; s60 + 1; -(s60 + 1); max_int; min_int; max_int - 1; min_int + 1 ];
+  Alcotest.(check (option int)) "2^63 does not fit" None (B.to_int_opt (p2 63));
+  Alcotest.(check (option int)) "-2^63 - 1 does not fit" None
+    (B.to_int_opt (B.sub (B.neg (p2 63)) B.one))
+
+let test_repr_crossings () =
+  let s60 = B.of_int (1 lsl 60) in
+  (* products across the 2^30 operand bound *)
+  let below = B.of_int ((1 lsl 30) - 1) and at = B.of_int (1 lsl 30) in
+  check_b "(2^30-1)^2" (B.of_string "1152921502459363329") (B.mul below below);
+  check_b "2^30 * 2^30" s60 (B.mul at at);
+  check_b "2^30 * -(2^30)" (B.neg s60) (B.mul at (B.neg at));
+  check_b "2^31 * 2^31" (B.of_string "4611686018427387904") (B.mul (B.of_int (1 lsl 31)) (B.of_int (1 lsl 31)));
+  check_b "2^59 * 2^59" (p2 118) (B.mul (p2 59) (p2 59));
+  (* sums crossing 2^60 in both directions *)
+  let top = B.of_int ((1 lsl 60) - 1) in
+  check_b "2^60-1 + 1" s60 (B.add top B.one);
+  check_b "2^60 - 1" top (B.sub s60 B.one);
+  check_b "-(2^60-1) - 1" (B.neg s60) (B.sub (B.neg top) B.one);
+  check_b "-2^60 + 1" (B.neg top) (B.add (B.neg s60) B.one);
+  check_b "2^60 + -2^60" B.zero (B.add s60 (B.neg s60));
+  Alcotest.(check (option int)) "2^60 - 1 fits" (Some ((1 lsl 60) - 1)) (B.to_int_opt (B.sub s60 B.one));
+  (* limb operands with word-sized results *)
+  let big = B.add (p2 100) (B.of_int 7) in
+  let q, r = B.divmod big (p2 99) in
+  check_b "q small" (B.of_int 2) q;
+  check_b "r small" (B.of_int 7) r;
+  let q, r = B.divmod (B.mul (p2 70) (B.of_int 12345)) (p2 70) in
+  check_b "exact quotient" (B.of_int 12345) q;
+  check_b "zero remainder" B.zero r;
+  check_b "small / big" B.zero (B.div (B.of_int 5) big);
+  check_b "small mod big" (B.of_int (-5)) (B.rem (B.of_int (-5)) big);
+  check_b "gcd(6*2^80, 9*2^80) = 3*2^80" (B.mul (B.of_int 3) (p2 80))
+    (B.gcd (B.mul (B.of_int 6) (p2 80)) (B.mul (B.of_int 9) (p2 80)));
+  check_b "gcd(2^100+1, 2^50) = 1" B.one (B.gcd (B.add (p2 100) B.one) (p2 50));
+  check_b "gcd(3*2^100, 12) = 12" (B.of_int 12) (B.gcd (B.mul (B.of_int 3) (p2 100)) (B.of_int 12));
+  check_b "2^90 - (2^90 - 5)" (B.of_int 5) (B.sub (p2 90) (B.sub (p2 90) (B.of_int 5)))
+
+(* [B.hash] and [Q.hash] feed polynomial hash-consing and the TRG, DBM and
+   constraint hashes; these constants were computed by the pure-limb
+   implementation and must not drift with the representation. *)
+let test_pinned_hashes () =
+  let hundred = "1234567890123456789012345678901234567890123456789012345678901234567890123456789012345678901234567890" in
+  List.iter
+    (fun (s, h) -> Alcotest.(check int) ("B.hash " ^ s) h (B.hash (B.of_string s)))
+    [
+      ("0", 2);
+      ("1", 94);
+      ("-1", 32);
+      ("32767", 32860);
+      ("32768", 2884);
+      ("1073741824", 89374);
+      ("1152921504606846975", 1011469891);
+      ("1152921504606846976", 85887454);
+      ("-1152921504606846976", 28629152);
+      ("4611686018427387903", 31355566624);
+      (hundred, 1765373267252105295);
+      ("-" ^ hundred, 2087907158160383437);
+    ];
+  List.iter
+    (fun (s, h) -> Alcotest.(check int) ("Q.hash " ^ s) h (Q.hash (Q.of_decimal_string s)))
+    [
+      ("1/2", 6166401);
+      ("-7/3", 2492858);
+      ("1067/10", 76094943);
+      ("1152921504606846976/3", 5634131095042);
+      ("0", 131292);
+      ("-1", 2099262);
+      ("32768/32767", 189220376);
+    ]
+
 (* Property tests *)
 
 let arb_small = QCheck2.Gen.int_range (-1_000_000_000) 1_000_000_000
@@ -131,6 +216,35 @@ let prop_string_roundtrip =
   QCheck2.Test.make ~name:"to_string/of_string roundtrip" ~count:300 gen_big
     (fun a -> B.equal a (B.of_string (B.to_string a)))
 
+(* Operands near the representation bounds: ±(2^k + d) for small d. *)
+let gen_edge =
+  QCheck2.Gen.(
+    let* k = oneofl [ 0; 14; 15; 29; 30; 31; 45; 59; 60; 61; 62; 63; 64; 75; 90 ] in
+    let* d = int_range (-3) 3 in
+    let* neg = bool in
+    let v = B.add (B.pow (B.of_int 2) k) (B.of_int d) in
+    return (if neg then B.neg v else v))
+
+let prop_canonical =
+  (* A word-sized result left in limb form would compare unequal to its
+     parsed twin. *)
+  QCheck2.Test.make ~name:"computed results are canonical" ~count:500
+    QCheck2.Gen.(pair (oneof [ gen_edge; gen_big ]) (oneof [ gen_edge; gen_big ]))
+    (fun (a, c) ->
+      let canonical r =
+        let r' = B.of_string (B.to_string r) in
+        B.equal r r' && B.hash r = B.hash r'
+      in
+      (* checked in order: gcd runs through rem, so a non-canonical
+         remainder fails here before it can derail the gcd loop *)
+      let results =
+        [ (fun () -> B.add a c); (fun () -> B.sub a c); (fun () -> B.mul a c);
+          (fun () -> B.neg a); (fun () -> B.abs c) ]
+        @ (if B.is_zero c then [] else [ (fun () -> B.div a c); (fun () -> B.rem a c) ])
+        @ [ (fun () -> B.gcd a c) ]
+      in
+      List.for_all (fun r -> canonical (r ())) results)
+
 let prop_gcd_divides =
   QCheck2.Test.make ~name:"gcd divides both" ~count:300
     QCheck2.Gen.(pair gen_big gen_big)
@@ -154,10 +268,14 @@ let suite =
       Alcotest.test_case "pow" `Quick test_pow;
       Alcotest.test_case "compare" `Quick test_compare;
       Alcotest.test_case "to_float" `Quick test_to_float;
+      Alcotest.test_case "representation boundaries" `Quick test_repr_boundaries;
+      Alcotest.test_case "representation crossings" `Quick test_repr_crossings;
+      Alcotest.test_case "pinned hashes" `Quick test_pinned_hashes;
       QCheck_alcotest.to_alcotest prop_add_matches_int;
       QCheck_alcotest.to_alcotest prop_mul_matches_int;
       QCheck_alcotest.to_alcotest prop_divmod_identity;
       QCheck_alcotest.to_alcotest prop_mul_commutative;
       QCheck_alcotest.to_alcotest prop_string_roundtrip;
       QCheck_alcotest.to_alcotest prop_gcd_divides;
+      QCheck_alcotest.to_alcotest prop_canonical;
     ] )

@@ -47,6 +47,25 @@ let test_pp_decimal () =
 let test_to_float () =
   Alcotest.(check (float 1e-12)) "106.7" 106.7 (Q.to_float (Q.of_decimal_string "106.7"))
 
+(* Numerators and denominators past 2^1024 do not convert to finite
+   floats on their own; their quotient still does. *)
+let test_to_float_huge () =
+  let p2 k = B.pow (B.of_int 2) k in
+  let f n d = Q.to_float (Q.make n d) in
+  let exact = Alcotest.(check (float 0.)) in
+  exact "(2^1100+1)/2^1100" 1.0 (f (B.add (p2 1100) B.one) (p2 1100));
+  exact "-(2^1100+1)/2^1100" (-1.0) (f (B.neg (B.add (p2 1100) B.one)) (p2 1100));
+  exact "3^700/3^699" 3.0 (f (B.pow (B.of_int 3) 700) (B.pow (B.of_int 3) 699));
+  exact "2^1000/2^1030 (finite over infinite)" (Float.ldexp 1. (-30))
+    (f (p2 1000) (B.add (p2 1030) B.one));
+  Alcotest.(check (float 1e-12)) "2^1100/(2^1090+1)" 1024. (f (p2 1100) (B.add (p2 1090) B.one));
+  exact "1/(3^700+1) underflows to 0" 0. (f B.one (B.add (B.pow (B.of_int 3) 700) B.one));
+  exact "(2^1100+1)/3^1500 underflows to 0" 0. (f (B.add (p2 1100) B.one) (B.pow (B.of_int 3) 1500));
+  exact "2^1100/3 overflows" Float.infinity (f (p2 1100) (B.of_int 3));
+  exact "3^1500/(2^1100+1) overflows" Float.infinity (f (B.pow (B.of_int 3) 1500) (B.add (p2 1100) B.one));
+  exact "-3^1500/(2^1100+1) overflows" Float.neg_infinity
+    (f (B.neg (B.pow (B.of_int 3) 1500)) (B.add (p2 1100) B.one))
+
 (* Properties *)
 
 let gen_q =
@@ -88,6 +107,7 @@ let suite =
       Alcotest.test_case "decimal parsing" `Quick test_decimal_parse;
       Alcotest.test_case "decimal printing" `Quick test_pp_decimal;
       Alcotest.test_case "to_float" `Quick test_to_float;
+      Alcotest.test_case "to_float beyond float range" `Quick test_to_float_huge;
       QCheck_alcotest.to_alcotest prop_add_assoc;
       QCheck_alcotest.to_alcotest prop_mul_distributes;
       QCheck_alcotest.to_alcotest prop_inv_involutive;
